@@ -64,4 +64,30 @@ double Distance(DistanceMetric metric, const FeatureVector& a,
   return 0.0;
 }
 
+DistanceMatrix PairwiseDistances(
+    size_t n, const std::function<double(size_t, size_t)>& distance,
+    const ParallelForOptions& parallel) {
+  DistanceMatrix matrix(n, std::vector<double>(n, 0.0));
+  ParallelFor(
+      n,
+      [&](size_t i) {
+        for (size_t j = i + 1; j < n; ++j) {
+          const double d = distance(i, j);
+          matrix[i][j] = d;
+          matrix[j][i] = d;
+        }
+      },
+      parallel);
+  return matrix;
+}
+
+DistanceMatrix PairwiseDistances(const std::vector<FeatureVector>& points,
+                                 DistanceMetric metric,
+                                 const ParallelForOptions& parallel) {
+  return PairwiseDistances(
+      points.size(),
+      [&](size_t i, size_t j) { return Distance(metric, points[i], points[j]); },
+      parallel);
+}
+
 }  // namespace tdac

@@ -1,8 +1,12 @@
 #ifndef TDAC_CLUSTERING_DISTANCE_H_
 #define TDAC_CLUSTERING_DISTANCE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
+
+#include "common/parallel.h"
 
 namespace tdac {
 
@@ -38,6 +42,24 @@ enum class DistanceMetric {
 
 double Distance(DistanceMetric metric, const FeatureVector& a,
                 const FeatureVector& b);
+
+/// Dense symmetric matrix of pairwise distances, zero on the diagonal.
+using DistanceMatrix = std::vector<std::vector<double>>;
+
+/// The n x n matrix of `distance(i, j)`. Row i computes the cells
+/// (i, j > i) and mirrors them into (j, i); those cells are disjoint across
+/// rows, so the rows fan out over the pool per `parallel` with no
+/// synchronization and the matrix is identical at every thread count. Rows
+/// a tripped `parallel.guard` skipped are left zero: callers that pass a
+/// guard must re-check it before using the matrix.
+DistanceMatrix PairwiseDistances(
+    size_t n, const std::function<double(size_t, size_t)>& distance,
+    const ParallelForOptions& parallel = {});
+
+/// Convenience: `Distance(metric, points[i], points[j])` for every pair.
+DistanceMatrix PairwiseDistances(const std::vector<FeatureVector>& points,
+                                 DistanceMetric metric,
+                                 const ParallelForOptions& parallel = {});
 
 }  // namespace tdac
 

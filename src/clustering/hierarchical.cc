@@ -55,7 +55,7 @@ Result<std::vector<int>> Dendrogram::CutToK(int k) const {
 }
 
 Result<Dendrogram> AgglomerativeClusterFromDistances(
-    const std::vector<std::vector<double>>& distances,
+    const DistanceMatrix& distances,
     const AgglomerativeOptions& options) {
   const size_t n = distances.size();
   if (n == 0) return Status::InvalidArgument("Agglomerative: no points");
@@ -149,15 +149,8 @@ Result<Dendrogram> AgglomerativeCluster(
           "Agglomerative: inconsistent point dimensions");
     }
   }
-  std::vector<std::vector<double>> distances(n, std::vector<double>(n, 0.0));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      double d = Distance(options.metric, points[i], points[j]);
-      distances[i][j] = d;
-      distances[j][i] = d;
-    }
-  }
-  return AgglomerativeClusterFromDistances(distances, options);
+  return AgglomerativeClusterFromDistances(
+      PairwiseDistances(points, options.metric), options);
 }
 
 }  // namespace tdac

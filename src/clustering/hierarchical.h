@@ -59,7 +59,7 @@ class Dendrogram {
 
 /// Same, over a precomputed symmetric distance matrix.
 [[nodiscard]] Result<Dendrogram> AgglomerativeClusterFromDistances(
-    const std::vector<std::vector<double>>& distances,
+    const DistanceMatrix& distances,
     const AgglomerativeOptions& options);
 
 }  // namespace tdac

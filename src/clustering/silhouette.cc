@@ -10,7 +10,7 @@
 namespace tdac {
 
 Result<SilhouetteResult> SilhouetteFromDistances(
-    const std::vector<std::vector<double>>& distances,
+    const DistanceMatrix& distances,
     const std::vector<int>& assignment, int k) {
   const size_t n = distances.size();
   if (n == 0) return Status::InvalidArgument("Silhouette: no points");
@@ -103,17 +103,8 @@ Result<SilhouetteResult> SilhouetteFromDistances(
 Result<SilhouetteResult> Silhouette(const std::vector<FeatureVector>& points,
                                     const std::vector<int>& assignment, int k,
                                     DistanceMetric metric) {
-  const size_t n = points.size();
-  if (n == 0) return Status::InvalidArgument("Silhouette: no points");
-  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      double d = Distance(metric, points[i], points[j]);
-      dist[i][j] = d;
-      dist[j][i] = d;
-    }
-  }
-  return SilhouetteFromDistances(dist, assignment, k);
+  return SilhouetteFromDistances(PairwiseDistances(points, metric), assignment,
+                                 k);
 }
 
 }  // namespace tdac

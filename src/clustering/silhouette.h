@@ -40,11 +40,11 @@ Result<SilhouetteResult> Silhouette(const std::vector<FeatureVector>& points,
                                     DistanceMetric metric =
                                         DistanceMetric::kHamming);
 
-/// Same computation over a precomputed symmetric distance matrix (used by
-/// TD-AC's sparse-aware mode, whose masked distance needs per-point masks).
+/// Same computation over a precomputed symmetric distance matrix. The
+/// matrix does not depend on the assignment, so a k sweep builds it once
+/// (PairwiseDistances) and scores every candidate k against it.
 [[nodiscard]] Result<SilhouetteResult> SilhouetteFromDistances(
-    const std::vector<std::vector<double>>& distances,
-    const std::vector<int>& assignment, int k);
+    const DistanceMatrix& distances, const std::vector<int>& assignment, int k);
 
 }  // namespace tdac
 

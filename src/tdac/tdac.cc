@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#if defined(__GLIBC__)
+#include <malloc.h>  // malloc_trim
+#endif
 
 #include "common/checkpoint.h"
 #include "common/logging.h"
@@ -113,134 +116,71 @@ bool ParseGroupsState(const std::string& payload, size_t num_groups,
   return true;
 }
 
-}  // namespace
-
-Tdac::Tdac(TdacOptions options) : options_(options) {
-  TDAC_CHECK(options_.base != nullptr) << "Tdac requires a base algorithm";
-  name_ = "TD-AC(F=" + std::string(options_.base->name()) + ")";
-}
-
-Result<TruthDiscoveryResult> Tdac::DiscoverGuarded(
-    const DatasetLike& data, const RunGuard& guard) const {
-  TDAC_ASSIGN_OR_RETURN(TdacReport report, DiscoverWithReport(data, guard));
-  return std::move(report.result);
-}
-
-Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data) const {
-  return DiscoverWithReport(data, RunGuard::None());
-}
-
-Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data,
-                                            const RunGuard& guard) const {
-  // One restriction cache for the whole call: refinement rounds usually
-  // re-derive most groups, and each re-derived group reuses its view.
-  RestrictionCache cache(&data);
-  TDAC_ASSIGN_OR_RETURN(TdacReport report,
-                        RunPass(data, &cache, nullptr, guard, 0));
-  // Refinement extension: rebuild the truth vectors against our own merged
-  // predictions and re-run, until the partition stabilizes.
-  for (int round = 0; round < options_.refinement_rounds; ++round) {
-    if (report.fell_back_to_base) break;
-    if (report.result.degraded()) break;  // first pass already cut short
-    if (auto stop = guard.ShouldStop()) {
-      // The last completed round stands; label it so the caller knows the
-      // refinement did not run to completion.
-      report.result.stop_reason =
-          CombineStopReasons(report.result.stop_reason, *stop);
-      report.result.converged = false;
-      break;
-    }
-    GroundTruth reference = report.result.predicted;
-    TDAC_ASSIGN_OR_RETURN(TdacReport next,
-                          RunPass(data, &cache, &reference, guard, round + 1));
-    if (next.result.degraded()) {
-      // Keep the previous round's complete result over a partial round,
-      // labeled with the reason the new round was cut short.
-      report.result.stop_reason = CombineStopReasons(
-          report.result.stop_reason, next.result.stop_reason);
-      report.result.converged = false;
-      report.seconds_vectors += next.seconds_vectors;
-      report.seconds_sweep += next.seconds_sweep;
-      report.seconds_discovery += next.seconds_discovery;
-      break;
-    }
-    const bool stable = next.partition == report.partition;
-    next.seconds_vectors += report.seconds_vectors;
-    next.seconds_sweep += report.seconds_sweep;
-    next.seconds_discovery += report.seconds_discovery;
-    report = std::move(next);
-    if (stable) break;
-  }
-  // Clean completion leaves no resume state behind; a degraded run keeps
-  // its slots so --resume can finish the remaining work.
-  if (options_.checkpointer != nullptr && options_.checkpointer->enabled() &&
-      !report.result.degraded()) {
-    for (int round = 0; round <= options_.refinement_rounds; ++round) {
-      const std::string prefix =
-          options_.checkpoint_prefix + ".r" + std::to_string(round);
-      TDAC_RETURN_NOT_OK(options_.checkpointer->Remove(prefix + ".reference"));
-      TDAC_RETURN_NOT_OK(options_.checkpointer->Remove(prefix + ".sweep"));
-      TDAC_RETURN_NOT_OK(options_.checkpointer->Remove(prefix + ".groups"));
-    }
-  }
-  return report;
-}
-
-Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
-                                 RestrictionCache* cache,
-                                 const GroundTruth* reference,
-                                 const RunGuard& guard, int round) const {
+/// One pass of the pipeline. With `reference == nullptr` the reference
+/// truth comes from running the base algorithm on the whole dataset (the
+/// paper's buildTruthVectors); otherwise the supplied predictions are used
+/// (refinement rounds). Group restrictions are zero-copy views served by
+/// `cache`, which is shared across refinement rounds so a re-derived group
+/// never rebuilds its view. `round` namespaces the checkpoint slots
+/// (refinement round number; 0 for the first pass).
+Result<TdacReport> RunPass(const TdacOptions& options, PartitionAxis axis,
+                           const std::string& name, const DatasetLike& data,
+                           RestrictionCache* cache,
+                           const GroundTruth* reference,
+                           const RunGuard& guard, int round) {
   if (data.num_claims() == 0) {
-    return Status::InvalidArgument("TD-AC: empty dataset");
+    return Status::InvalidArgument(name + ": empty dataset");
   }
+  const bool by_object = axis == PartitionAxis::kObjects;
   TdacReport report;
-  const std::vector<AttributeId> attributes = data.ActiveAttributes();
-  const int num_attrs = static_cast<int>(attributes.size());
+  const std::vector<int32_t> ids =
+      by_object ? data.ActiveObjects() : data.ActiveAttributes();
+  const int num_ids = static_cast<int>(ids.size());
 
   // Checkpoint identity: slot names carry the refinement round; the context
   // line binds every snapshot to this exact run (algorithm + dataset
   // fingerprint + the options that shape results), so stale slots from a
   // different run are ignored rather than resumed.
-  Checkpointer* ckpt = options_.checkpointer;
+  Checkpointer* ckpt = options.checkpointer;
   const bool ckpt_on = ckpt != nullptr && ckpt->enabled();
   const std::string slot_prefix =
-      options_.checkpoint_prefix + ".r" + std::to_string(round);
+      options.checkpoint_prefix + ".r" + std::to_string(round);
   std::string ctx;
   if (ckpt_on) {
     std::ostringstream ctx_out;
-    ctx_out << name_ << " fp=" << std::hex << DatasetFingerprint(data)
+    ctx_out << name << " fp=" << std::hex << DatasetFingerprint(data)
             << std::dec << " round=" << round
-            << " backend=" << static_cast<int>(options_.backend)
-            << " sparse=" << (options_.sparse_aware ? 1 : 0)
-            << " min_k=" << options_.min_k << " max_k=" << options_.max_k
-            << " seed=" << options_.kmeans.seed;
+            << " backend=" << static_cast<int>(options.backend)
+            << " sparse=" << (options.sparse_aware ? 1 : 0)
+            << " min_k=" << options.min_k << " max_k=" << options.max_k
+            << " seed=" << options.kmeans.seed;
     ctx = ctx_out.str();
   }
 
-  // The paper's sweep k in [2, |A| - 1] is empty for |A| < 3: degrade to
-  // the base algorithm on the unpartitioned dataset.
-  if (num_attrs < 3) {
+  // The paper's sweep k in [2, n - 1] is empty for n < 3: degrade to the
+  // base algorithm on the unpartitioned dataset.
+  if (num_ids < 3) {
     WallTimer timer;
-    TDAC_ASSIGN_OR_RETURN(report.result, options_.base->Discover(data, guard));
+    TDAC_ASSIGN_OR_RETURN(report.result, options.base->Discover(data, guard));
     report.seconds_discovery = timer.ElapsedSeconds();
-    report.partition = AttributePartition::Single(attributes);
+    report.partition = AttributePartition::Single(ids);
     report.chosen_k = 1;
     report.fell_back_to_base = true;
     report.result.iterations = 1;
     return report;
   }
 
-  // Step (ii): reference truth + attribute truth vectors. When no external
-  // reference is supplied, the base runs once here and its result is kept:
-  // it feeds the truth vectors (exactly what BuildTruthVectors(base, data)
-  // computed internally), the fallback paths, and the fill-in for groups a
-  // tripped guard skipped.
+  // Step (ii): reference truth + truth vectors. When no external reference
+  // is supplied, the base runs once here and its result is kept: it feeds
+  // the truth vectors (exactly what BuildTruthVectors(base, data) computed
+  // internally), the fallback paths, and the fill-in for groups a tripped
+  // guard skipped.
   WallTimer vector_timer;
   TruthVectorMatrix matrix;
   TruthDiscoveryResult reference_result;
   bool have_reference_result = false;
   if (reference != nullptr) {
-    TDAC_ASSIGN_OR_RETURN(matrix, BuildTruthVectors(data, *reference));
+    TDAC_ASSIGN_OR_RETURN(matrix, BuildTruthVectors(data, *reference, axis));
   } else {
     const std::string ref_slot = slot_prefix + ".reference";
     if (ckpt_on) {
@@ -254,7 +194,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
             reference_result = parsed.MoveValue();
             have_reference_result = true;
           } else {
-            TDAC_LOG_WARNING << name_ << ": reference checkpoint payload "
+            TDAC_LOG_WARNING << name << ": reference checkpoint payload "
                              << "unusable (" << parsed.status().message()
                              << "); recomputing";
           }
@@ -263,7 +203,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     }
     if (!have_reference_result) {
       TDAC_ASSIGN_OR_RETURN(reference_result,
-                            options_.base->Discover(data, guard));
+                            options.base->Discover(data, guard));
       have_reference_result = true;
       // Persist clean state only: a reference cut short by the guard is
       // recomputed on resume, never resumed from.
@@ -274,8 +214,8 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
                 ctx, SerializeTruthDiscoveryResult(reference_result))));
       }
     }
-    TDAC_ASSIGN_OR_RETURN(matrix,
-                          BuildTruthVectors(data, reference_result.predicted));
+    TDAC_ASSIGN_OR_RETURN(
+        matrix, BuildTruthVectors(data, reference_result.predicted, axis));
   }
   report.seconds_vectors = vector_timer.ElapsedSeconds();
 
@@ -287,91 +227,80 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       report.result = std::move(reference_result);
       have_reference_result = false;
     } else {
-      Result<TruthDiscoveryResult> run = options_.base->Discover(data, guard);
+      Result<TruthDiscoveryResult> run = options.base->Discover(data, guard);
       TDAC_RETURN_NOT_OK(run.status());
       report.result = std::move(run).value();
     }
     report.seconds_discovery = timer.ElapsedSeconds();
-    report.partition = AttributePartition::Single(attributes);
+    report.partition = AttributePartition::Single(ids);
     report.chosen_k = 1;
     report.fell_back_to_base = true;
     report.result.iterations = 1;
     return Status::OK();
   };
-
-  if (auto stop = guard.ShouldStop()) {
-    // Tripped before clustering even started: the reference run is the
-    // best-so-far answer.
+  // A trip before the sweep has a candidate leaves the reference run as the
+  // best-so-far answer.
+  auto fall_back_tripped = [&](StopReason stop) -> Status {
     TDAC_RETURN_NOT_OK(fall_back());
     report.result.stop_reason =
-        CombineStopReasons(report.result.stop_reason, *stop);
+        CombineStopReasons(report.result.stop_reason, stop);
     report.result.converged = false;
+    return Status::OK();
+  };
+
+  if (auto stop = guard.ShouldStop()) {
+    TDAC_RETURN_NOT_OK(fall_back_tripped(*stop));
     return report;
   }
 
   ParallelForOptions par;
-  par.max_parallelism = EffectiveThreadCount(options_.threads);
+  par.max_parallelism = EffectiveThreadCount(options.threads);
   par.guard = &guard;
 
-  // Optional sparse-aware distance matrix for the silhouette. Row i owns
-  // the cells (i, j>i) and their mirrors (j, i), which are disjoint across
-  // rows, so the rows parallelize without synchronization.
-  std::vector<std::vector<double>> sparse_dist;
-  if (options_.sparse_aware) {
-    const size_t n = matrix.vectors.size();
-    sparse_dist.assign(n, std::vector<double>(n, 0.0));
-    ParallelFor(
-        n,
-        [&](size_t i) {
-          for (size_t j = i + 1; j < n; ++j) {
-            double d =
-                MaskedHammingDistance(matrix.vectors[i], matrix.vectors[j],
-                                      matrix.masks[i], matrix.masks[j]);
-            sparse_dist[i][j] = d;
-            sparse_dist[j][i] = d;
-          }
-        },
-        par);
-    if (auto stop = guard.ShouldStop()) {
-      // Rows skipped by the tripped guard leave the matrix unusable; the
-      // reference run is the best-so-far answer.
-      TDAC_RETURN_NOT_OK(fall_back());
-      report.result.stop_reason =
-          CombineStopReasons(report.result.stop_reason, *stop);
-      report.result.converged = false;
-      return report;
-    }
-  }
-
   // Step (iii): sweep k with the clustering backend, keep the best
-  // silhouette.
+  // silhouette. The pairwise distances depend on the vectors only, not on
+  // k, so they are computed once per pass — masked Hamming in sparse-aware
+  // mode, else the silhouette metric — and feed every candidate's
+  // silhouette and the agglomerative merge tree.
   WallTimer sweep_timer;
-  const int lo = std::max(2, options_.min_k);
-  const int hi = options_.max_k > 0 ? std::min(options_.max_k, num_attrs - 1)
-                                    : num_attrs - 1;
+  DistanceMatrix distances =
+      options.sparse_aware
+          ? PairwiseDistances(
+                matrix.vectors.size(),
+                [&](size_t i, size_t j) {
+                  return MaskedHammingDistance(
+                      matrix.vectors[i], matrix.vectors[j], matrix.masks[i],
+                      matrix.masks[j]);
+                },
+                par)
+          : PairwiseDistances(matrix.vectors, options.silhouette_metric, par);
+  if (auto stop = guard.ShouldStop()) {
+    // Rows skipped by the tripped guard leave the matrix unusable.
+    TDAC_RETURN_NOT_OK(fall_back_tripped(*stop));
+    return report;
+  }
+  const int lo = std::max(2, options.min_k);
+  const int hi = options.max_k > 0 ? std::min(options.max_k, num_ids - 1)
+                                   : num_ids - 1;
 
   // The agglomerative backend builds its merge tree once for all k.
   std::unique_ptr<Dendrogram> dendrogram;
-  if (options_.backend == ClusteringBackend::kAgglomerative) {
+  if (options.backend == ClusteringBackend::kAgglomerative) {
     AgglomerativeOptions aopts;
-    aopts.metric = options_.silhouette_metric;
-    aopts.linkage = options_.linkage;
+    aopts.linkage = options.linkage;
     Result<Dendrogram> built =
-        options_.sparse_aware
-            ? AgglomerativeClusterFromDistances(sparse_dist, aopts)
-            : AgglomerativeCluster(matrix.vectors, aopts);
+        AgglomerativeClusterFromDistances(distances, aopts);
     if (built.ok()) {
       dendrogram = std::make_unique<Dendrogram>(std::move(built).value());
     }
   }
-
   // Each candidate k's clustering + silhouette run is independent of every
   // other k (k-means re-seeds per call from options, the dendrogram cut is
   // read-only), so the sweep fans out over the pool. Per-k outcomes land
   // in a slot vector indexed by k and are reduced serially in ascending-k
   // order below — the exact tie-breaking of the serial loop, bit for bit.
   const size_t sweep_size =
-      hi >= lo && !(options_.backend == ClusteringBackend::kAgglomerative &&
+      hi >= lo && !(options.backend == ClusteringBackend::kAgglomerative &&
                     dendrogram == nullptr)
           ? static_cast<size_t>(hi - lo + 1)
           : 0;
@@ -380,12 +309,12 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     const int k = lo + static_cast<int>(idx);
     SweepOutcome& out = outcomes[idx];
     std::vector<int> assignment;
-    if (options_.backend == ClusteringBackend::kAgglomerative) {
+    if (options.backend == ClusteringBackend::kAgglomerative) {
       auto cut = dendrogram->CutToK(k);
       if (!cut.ok()) return;
       assignment = std::move(cut).value();
     } else {
-      KMeansOptions kopts = options_.kmeans;
+      KMeansOptions kopts = options.kmeans;
       kopts.k = k;
       auto kmeans_result = KMeans(matrix.vectors, kopts);
       if (!kmeans_result.ok()) return;
@@ -395,10 +324,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     int effective_k = CompactLabels(&assignment, k);
     if (effective_k < 2) return;
     Result<SilhouetteResult> sil =
-        options_.sparse_aware
-            ? SilhouetteFromDistances(sparse_dist, assignment, effective_k)
-            : Silhouette(matrix.vectors, assignment, effective_k,
-                         options_.silhouette_metric);
+        SilhouetteFromDistances(distances, assignment, effective_k);
     if (!sil.ok()) return;
     out.assignment = std::move(assignment);
     out.effective_k = effective_k;
@@ -422,7 +348,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     if (stored) {
       if (auto payload = MatchCheckpointContext(sweep_ctx, *stored)) {
         if (!ParseSweepState(*payload, &outcomes, &sweep_done)) {
-          TDAC_LOG_WARNING << name_
+          TDAC_LOG_WARNING << name
                            << ": sweep checkpoint payload unusable; "
                            << "restarting the sweep";
           sweep_done = 0;
@@ -475,27 +401,38 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   }
   report.seconds_sweep = sweep_timer.ElapsedSeconds();
   if (report.sweep_kmeans_non_converged > 0) {
-    TDAC_LOG_WARNING << name_ << ": k-means hit max_iterations without "
+    TDAC_LOG_WARNING << name << ": k-means hit max_iterations without "
                      << "converging for " << report.sweep_kmeans_non_converged
                      << " of " << outcomes.size()
                      << " sweep candidates (raise kmeans.max_iterations?)";
   }
 
+  // The vectors and distances are dead from here on: release them before
+  // the per-group runs, which then never stack on top of the n x n matrix.
+  // The matrix rows were allocated on this thread while the group runs
+  // allocate on pool threads, so the freed pages go back to the system
+  // rather than wait in this thread's malloc arena.
+  matrix = TruthVectorMatrix{};
+  distances = DistanceMatrix{};
+  dendrogram.reset();
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+
   if (!have_best) {
     // Every k failed (all truth vectors identical, or the guard tripped
     // before any candidate finished): fall back.
-    TDAC_RETURN_NOT_OK(fall_back());
     if (auto stop = guard.ShouldStop()) {
-      report.result.stop_reason =
-          CombineStopReasons(report.result.stop_reason, *stop);
-      report.result.converged = false;
+      TDAC_RETURN_NOT_OK(fall_back_tripped(*stop));
+    } else {
+      TDAC_RETURN_NOT_OK(fall_back());
     }
     return report;
   }
 
   TDAC_ASSIGN_OR_RETURN(
       report.partition,
-      AttributePartition::FromAssignment(matrix.attributes, best_assignment));
+      AttributePartition::FromAssignment(ids, best_assignment));
   report.chosen_k = best_k;
 
   // Step (iv): run the base algorithm per group and aggregate.
@@ -508,16 +445,20 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   // the shared cache; the same view instance feeds both the base run here
   // and the trust-weighting merge below.
   std::vector<std::shared_ptr<const DatasetView>> views(groups.size());
+  auto restrict_group = [&](size_t g) {
+    views[g] = by_object ? cache->Objects(groups[g])
+                         : cache->Attributes(groups[g]);
+  };
   auto run_group = [&](size_t g) -> Result<TruthDiscoveryResult> {
-    views[g] = cache->Attributes(groups[g]);
+    restrict_group(g);
     const DatasetView& restricted = *views[g];
     if (restricted.num_claims() == 0) {
       return TruthDiscoveryResult{};
     }
-    return options_.base->Discover(restricted, guard);
+    return options.base->Discover(restricted, guard);
   };
 
-  // Groups are disjoint attribute sets, so the base runs are independent;
+  // Groups are disjoint id sets, so the base runs are independent;
   // partials are merged serially in group order below, which keeps the
   // aggregate bit-identical at every thread count.
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -540,11 +481,9 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
                              &groups_done)) {
           // Restored groups still serve the trust merge below from their
           // (cached, zero-copy) views.
-          for (size_t g = 0; g < groups_done; ++g) {
-            views[g] = cache->Attributes(groups[g]);
-          }
+          for (size_t g = 0; g < groups_done; ++g) restrict_group(g);
         } else {
-          TDAC_LOG_WARNING << name_
+          TDAC_LOG_WARNING << name
                            << ": groups checkpoint payload unusable; "
                            << "recomputing every group";
           groups_done = 0;
@@ -587,7 +526,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   }
 
   TruthDiscoveryResult& merged = report.result;
-  merged.iterations = 1;  // TD-AC runs a single outer pass (paper Table 4)
+  merged.iterations = 1;  // a single outer pass (paper Table 4)
   merged.converged = true;
   std::vector<double> trust_weighted(static_cast<size_t>(data.num_sources()),
                                      0.0);
@@ -653,6 +592,90 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   }
   report.seconds_discovery = discovery_timer.ElapsedSeconds();
   return report;
+}
+
+}  // namespace
+
+Result<TdacReport> RunPartitionPipeline(const TdacOptions& options,
+                                        PartitionAxis axis,
+                                        const std::string& name,
+                                        const DatasetLike& data,
+                                        const RunGuard& guard) {
+  // One restriction cache for the whole call: refinement rounds usually
+  // re-derive most groups, and each re-derived group reuses its view.
+  RestrictionCache cache(&data);
+  TDAC_ASSIGN_OR_RETURN(
+      TdacReport report,
+      RunPass(options, axis, name, data, &cache, nullptr, guard, 0));
+  // Refinement extension: rebuild the truth vectors against our own merged
+  // predictions and re-run, until the partition stabilizes.
+  for (int round = 0; round < options.refinement_rounds; ++round) {
+    if (report.fell_back_to_base) break;
+    if (report.result.degraded()) break;  // first pass already cut short
+    if (auto stop = guard.ShouldStop()) {
+      // The last completed round stands; label it so the caller knows the
+      // refinement did not run to completion.
+      report.result.stop_reason =
+          CombineStopReasons(report.result.stop_reason, *stop);
+      report.result.converged = false;
+      break;
+    }
+    GroundTruth reference = report.result.predicted;
+    TDAC_ASSIGN_OR_RETURN(TdacReport next,
+                          RunPass(options, axis, name, data, &cache,
+                                  &reference, guard, round + 1));
+    if (next.result.degraded()) {
+      // Keep the previous round's complete result over a partial round,
+      // labeled with the reason the new round was cut short.
+      report.result.stop_reason = CombineStopReasons(
+          report.result.stop_reason, next.result.stop_reason);
+      report.result.converged = false;
+      report.seconds_vectors += next.seconds_vectors;
+      report.seconds_sweep += next.seconds_sweep;
+      report.seconds_discovery += next.seconds_discovery;
+      break;
+    }
+    const bool stable = next.partition == report.partition;
+    next.seconds_vectors += report.seconds_vectors;
+    next.seconds_sweep += report.seconds_sweep;
+    next.seconds_discovery += report.seconds_discovery;
+    report = std::move(next);
+    if (stable) break;
+  }
+  // Clean completion leaves no resume state behind; a degraded run keeps
+  // its slots so --resume can finish the remaining work.
+  if (options.checkpointer != nullptr && options.checkpointer->enabled() &&
+      !report.result.degraded()) {
+    for (int round = 0; round <= options.refinement_rounds; ++round) {
+      const std::string prefix =
+          options.checkpoint_prefix + ".r" + std::to_string(round);
+      TDAC_RETURN_NOT_OK(options.checkpointer->Remove(prefix + ".reference"));
+      TDAC_RETURN_NOT_OK(options.checkpointer->Remove(prefix + ".sweep"));
+      TDAC_RETURN_NOT_OK(options.checkpointer->Remove(prefix + ".groups"));
+    }
+  }
+  return report;
+}
+
+Tdac::Tdac(TdacOptions options) : options_(options) {
+  TDAC_CHECK(options_.base != nullptr) << "Tdac requires a base algorithm";
+  name_ = "TD-AC(F=" + std::string(options_.base->name()) + ")";
+}
+
+Result<TruthDiscoveryResult> Tdac::DiscoverGuarded(
+    const DatasetLike& data, const RunGuard& guard) const {
+  TDAC_ASSIGN_OR_RETURN(TdacReport report, DiscoverWithReport(data, guard));
+  return std::move(report.result);
+}
+
+Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data) const {
+  return DiscoverWithReport(data, RunGuard::None());
+}
+
+Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data,
+                                            const RunGuard& guard) const {
+  return RunPartitionPipeline(options_, PartitionAxis::kAttributes, name_,
+                              data, guard);
 }
 
 }  // namespace tdac

@@ -52,7 +52,7 @@ struct TdacOptions {
   bool sparse_aware = false;
 
   /// Parallel-computation extension (paper conclusion, perspective (ii)):
-  /// the k sweep, the sparse distance matrix, and the per-group base runs
+  /// the k sweep, the pairwise distance matrix, and the per-group base runs
   /// fan out over the shared thread pool. 0 means the process default
   /// (`TDAC_THREADS` env override, else hardware concurrency); 1 forces
   /// the exact serial path. Results are bit-identical at every thread
@@ -84,7 +84,8 @@ struct TdacOptions {
 
 /// \brief Extended output of a TD-AC run.
 struct TdacReport {
-  /// The optimal partition found by k-means + silhouette.
+  /// The optimal partition found by k-means + silhouette (groups of object
+  /// ids when RunPartitionPipeline ran on the object axis).
   AttributePartition partition;
 
   /// Chosen k (number of clusters), and its silhouette value CS(P).
@@ -112,6 +113,21 @@ struct TdacReport {
   /// The aggregated truth-discovery result.
   TruthDiscoveryResult result;
 };
+
+/// \brief The partition-then-discover pipeline of Algorithm 1, on either
+/// axis: the reference run, the truth vectors, the checkpoint-batched
+/// parallel k sweep scored by the silhouette, the parallel per-group base
+/// runs, the claim-weighted trust merge, and the refinement rounds. `Tdac`
+/// runs it on the attribute axis and `Tdoc` on the object axis; on the
+/// object axis `report.partition` holds groups of object ids. `name` labels
+/// logs and binds checkpoint contexts, so the two facades never resume each
+/// other's snapshots.
+[[nodiscard]]
+Result<TdacReport> RunPartitionPipeline(const TdacOptions& options,
+                                        PartitionAxis axis,
+                                        const std::string& name,
+                                        const DatasetLike& data,
+                                        const RunGuard& guard);
 
 /// \brief TD-AC: Truth Discovery with Attribute Clustering.
 ///
@@ -153,18 +169,6 @@ class Tdac : public TruthDiscovery {
       const DatasetLike& data, const RunGuard& guard) const override;
 
  private:
-  /// One pass of Algorithm 1. With `reference == nullptr` the reference
-  /// truth comes from running the base algorithm on the whole dataset (the
-  /// paper's buildTruthVectors); otherwise the supplied predictions are
-  /// used (refinement rounds). Group restrictions are zero-copy views
-  /// served by `cache`, which is shared across refinement rounds so a
-  /// re-derived group never rebuilds its view. `round` namespaces the
-  /// checkpoint slots (refinement round number; 0 for the first pass).
-  [[nodiscard]]
-  Result<TdacReport> RunPass(const DatasetLike& data, RestrictionCache* cache,
-                             const GroundTruth* reference,
-                             const RunGuard& guard, int round) const;
-
   TdacOptions options_;
   std::string name_;
 };

@@ -31,9 +31,9 @@ struct TdocOptions {
   int max_k = 8;
 
   /// Durable checkpoint/resume (docs/checkpointing.md). Not owned; null
-  /// disables. Slots: `<checkpoint_prefix>.{reference,sweep,groups}`. Only
-  /// clean (un-tripped) state is persisted, so a resumed run is
-  /// bit-identical to an uninterrupted one.
+  /// disables. Slots: `<checkpoint_prefix>.r0.{reference,sweep,groups}`,
+  /// with TD-AC's payloads. Only clean (un-tripped) state is persisted, so
+  /// a resumed run is bit-identical to an uninterrupted one.
   Checkpointer* checkpointer = nullptr;
   std::string checkpoint_prefix = "tdoc";
 };
@@ -62,6 +62,11 @@ struct TdocReport {
 /// of *objects* (e.g. geographic regions) rather than attributes — and does
 /// nothing for the attribute-correlated setting TD-AC targets, which the
 /// `bench_partitioning_axes` bench demonstrates.
+///
+/// A thin facade: it runs TD-AC's pipeline (RunPartitionPipeline) on the
+/// object axis, so the sweep and the group runs fan out over the shared
+/// pool at the process-default width (`TDAC_THREADS`), bit-identically at
+/// every width.
 class Tdoc : public TruthDiscovery {
  public:
   explicit Tdoc(TdocOptions options);
@@ -71,9 +76,9 @@ class Tdoc : public TruthDiscovery {
   [[nodiscard]]
   Result<TdocReport> DiscoverWithReport(const DatasetLike& data) const;
 
-  /// Guarded variant: checks the guard between sweep candidates and object
-  /// groups; a tripped run returns best-so-far with missing objects filled
-  /// from the reference truth.
+  /// Guarded variant: the guard is threaded through the reference run, the
+  /// k sweep and every group run; a tripped run returns best-so-far with
+  /// missing objects filled from the reference truth.
   [[nodiscard]]
   Result<TdocReport> DiscoverWithReport(const DatasetLike& data,
                                         const RunGuard& guard) const;

@@ -9,16 +9,19 @@ namespace {
 /// Legacy build: one GroundTruth hash lookup and one Value comparison per
 /// claim. Kept as the differential reference for the columnar path.
 void FillTruthVectorsLegacy(const DatasetLike& data,
-                            const GroundTruth& reference,
+                            const GroundTruth& reference, PartitionAxis axis,
                             const std::vector<int>& row_of,
                             size_t num_sources, TruthVectorMatrix* matrix) {
+  const bool by_object = axis == PartitionAxis::kObjects;
   for (int32_t id : data.claim_ids()) {
     // lint: claim-value-ok (legacy reference path for the SoA fill below)
     const Claim& c = data.claim(static_cast<size_t>(id));
-    const int r = row_of[static_cast<size_t>(c.attribute)];
+    const int r = row_of[static_cast<size_t>(by_object ? c.object
+                                                       : c.attribute)];
     if (r < 0) continue;
-    const size_t col = static_cast<size_t>(c.object) * num_sources +
-                       static_cast<size_t>(c.source);
+    const size_t col =
+        static_cast<size_t>(by_object ? c.attribute : c.object) * num_sources +
+        static_cast<size_t>(c.source);
     matrix->masks[static_cast<size_t>(r)][col] = 1;
     const Value* truth = reference.Get(c.object, c.attribute);
     if (truth != nullptr && *truth == c.value) {
@@ -36,8 +39,9 @@ void FillTruthVectorsLegacy(const DatasetLike& data,
 /// same idempotent 1-writes as the legacy fill, so the matrix is
 /// bit-identical.
 void FillTruthVectorsSoa(const DatasetLike& data, const GroundTruth& reference,
-                         const std::vector<int>& row_of, size_t num_sources,
-                         TruthVectorMatrix* matrix) {
+                         PartitionAxis axis, const std::vector<int>& row_of,
+                         size_t num_sources, TruthVectorMatrix* matrix) {
+  const bool by_object = axis == PartitionAxis::kObjects;
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& sources = storage.claim_sources();
   const std::vector<int32_t>& value_ids = storage.claim_value_ids();
@@ -45,11 +49,12 @@ void FillTruthVectorsSoa(const DatasetLike& data, const GroundTruth& reference,
   for (uint64_t key : data.DataItems()) {
     const ObjectId o = ObjectFromKey(key);
     const AttributeId a = AttributeFromKey(key);
-    const int r = row_of[static_cast<size_t>(a)];
+    const int r = row_of[static_cast<size_t>(by_object ? o : a)];
     if (r < 0) continue;
     const Value* truth = reference.Get(o, a);
     const ValueId truth_id = truth != nullptr ? dict.Find(*truth) : kInvalidId;
-    const size_t row_base = static_cast<size_t>(o) * num_sources;
+    const size_t row_base =
+        static_cast<size_t>(by_object ? a : o) * num_sources;
     std::vector<uint8_t>& mask_row = matrix->masks[static_cast<size_t>(r)];
     FeatureVector& vec_row = matrix->vectors[static_cast<size_t>(r)];
     for (int32_t idx : data.ClaimsOn(o, a)) {
@@ -64,28 +69,42 @@ void FillTruthVectorsSoa(const DatasetLike& data, const GroundTruth& reference,
 }  // namespace
 
 Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
-                                            const GroundTruth& reference) {
+                                            const GroundTruth& reference,
+                                            PartitionAxis axis) {
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("BuildTruthVectors: empty dataset");
   }
   TruthVectorMatrix matrix;
-  matrix.attributes = data.ActiveAttributes();
+  const bool by_object = axis == PartitionAxis::kObjects;
+  if (by_object) {
+    matrix.objects = data.ActiveObjects();
+  } else {
+    matrix.attributes = data.ActiveAttributes();
+  }
+  const std::vector<int32_t>& rows =
+      by_object ? matrix.objects : matrix.attributes;
   const size_t num_sources = static_cast<size_t>(data.num_sources());
-  const size_t dim = static_cast<size_t>(data.num_objects()) * num_sources;
-  matrix.vectors.assign(matrix.attributes.size(), FeatureVector(dim, 0.0));
-  matrix.masks.assign(matrix.attributes.size(),
-                      std::vector<uint8_t>(dim, 0));
+  const size_t dim =
+      static_cast<size_t>(by_object ? data.num_attributes()
+                                    : data.num_objects()) *
+      num_sources;
+  matrix.vectors.assign(rows.size(), FeatureVector(dim, 0.0));
+  matrix.masks.assign(rows.size(), std::vector<uint8_t>(dim, 0));
 
-  // Row index per attribute id for O(1) scatter.
-  std::vector<int> row_of(static_cast<size_t>(data.num_attributes()), -1);
-  for (size_t r = 0; r < matrix.attributes.size(); ++r) {
-    row_of[static_cast<size_t>(matrix.attributes[r])] = static_cast<int>(r);
+  // Row index per axis id for O(1) scatter.
+  std::vector<int> row_of(
+      static_cast<size_t>(by_object ? data.num_objects()
+                                    : data.num_attributes()),
+      -1);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    row_of[static_cast<size_t>(rows[r])] = static_cast<int>(r);
   }
 
   if (SoaKernelsEnabled()) {
-    FillTruthVectorsSoa(data, reference, row_of, num_sources, &matrix);
+    FillTruthVectorsSoa(data, reference, axis, row_of, num_sources, &matrix);
   } else {
-    FillTruthVectorsLegacy(data, reference, row_of, num_sources, &matrix);
+    FillTruthVectorsLegacy(data, reference, axis, row_of, num_sources,
+                           &matrix);
   }
   return matrix;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace tdac {
 namespace {
 
@@ -65,6 +67,34 @@ TEST(DistanceDeathTest, SizeMismatchAborts) {
   FeatureVector b{1};
   EXPECT_DEATH((void)HammingDistance(a, b), "size mismatch");
   EXPECT_DEATH((void)SquaredEuclideanDistance(a, b), "size mismatch");
+}
+
+// The pairwise matrix is symmetric with a zero diagonal, every cell is the
+// metric itself, and the row fan-out never changes a bit.
+TEST(DistanceTest, PairwiseDistancesMatchesMetricAtEveryWidth) {
+  Rng rng(7);
+  std::vector<FeatureVector> points(9, FeatureVector(5));
+  for (FeatureVector& p : points) {
+    for (double& x : p) x = rng.NextDouble();
+  }
+  ParallelForOptions serial;
+  serial.max_parallelism = 1;
+  const DistanceMatrix m =
+      PairwiseDistances(points, DistanceMetric::kEuclidean, serial);
+  ASSERT_EQ(m.size(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(m[i].size(), points.size());
+    EXPECT_EQ(m[i][i], 0.0);
+    for (size_t j = 0; j < points.size(); ++j) {
+      if (i == j) continue;
+      EXPECT_EQ(m[i][j], m[j][i]);
+      EXPECT_EQ(m[i][j], EuclideanDistance(points[i], points[j]));
+    }
+  }
+  ParallelForOptions wide;
+  wide.max_parallelism = 8;
+  EXPECT_EQ(PairwiseDistances(points, DistanceMetric::kEuclidean, wide), m);
+  EXPECT_TRUE(PairwiseDistances({}, DistanceMetric::kHamming).empty());
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "td/accu.h"
 #include "tdac/tdac.h"
 #include "tdac/tdoc.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -33,7 +34,7 @@ namespace {
 class ResumeDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "resume_determinism_" +
+    dir_ = testutil::ProcessTempDir() + "/resume_determinism_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     ASSERT_TRUE(EnsureDirectory(dir_).ok());
     ClearDir();

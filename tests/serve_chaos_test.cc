@@ -41,6 +41,7 @@
 #include "gtest/gtest.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -195,10 +196,10 @@ class ServeChaosTest : public ::testing::Test {
     config->num_objects = 30;
     auto data = GenerateSynthetic(*config);
     ASSERT_TRUE(data.ok()) << data.status();
-    claims_path_ = testing::TempDir() + "/serve_chaos_claims.csv";
+    claims_path_ = testutil::ProcessTempDir() + "/serve_chaos_claims.csv";
     ASSERT_TRUE(SaveDataset(data->dataset, claims_path_).ok());
 
-    const std::string stem = testing::TempDir() + "/chaos_" +
+    const std::string stem = testutil::ProcessTempDir() + "/chaos_" +
                              ::testing::UnitTest::GetInstance()
                                  ->current_test_info()
                                  ->name();

@@ -1,7 +1,10 @@
 #ifndef TDAC_TESTS_TEST_UTIL_H_
 #define TDAC_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +54,31 @@ inline Dataset TwoGoodOneBad(int num_items, GroundTruth* truth) {
     }
   }
   return d;
+}
+
+/// A scratch directory private to this test process: made once with
+/// mkdtemp under testing::TempDir() and removed at exit. Under parallel
+/// ctest a test and its `_threads8` twin are separate processes, so paths
+/// built under this directory never collide the way fixed
+/// `TempDir() + name` paths did. Forked children leave with `_exit`, so
+/// only the parent removes it.
+inline const std::string& ProcessTempDir() {
+  struct Dir {
+    std::string path;
+    Dir() {
+      std::string tmpl = ::testing::TempDir() + "tdac_test_XXXXXX";
+      if (::mkdtemp(tmpl.data()) == nullptr) {
+        ADD_FAILURE() << "mkdtemp failed for " << tmpl;
+      }
+      path = tmpl;
+    }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
 }
 
 }  // namespace testutil

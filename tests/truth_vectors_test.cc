@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/soa_mode.h"
 #include "td/majority_vote.h"
 #include "test_util.h"
 
@@ -108,6 +109,56 @@ TEST(TruthVectorsTest, EmptyDatasetRejected) {
   Dataset d;
   GroundTruth truth;
   EXPECT_FALSE(BuildTruthVectors(d, truth).ok());
+}
+
+// Object-axis rows are the transpose of the attribute-axis rows: cell
+// (object o, attribute a, source s) holds the same bit on both axes, for the
+// vectors and the masks alike, down both the columnar and the legacy fill.
+TEST(TruthVectorsTest, ObjectAxisIsTheTransposeOnBothKernelPaths) {
+  std::vector<ClaimSpec> specs;
+  const char* objects[] = {"o1", "o2", "o3"};
+  const char* attrs[] = {"a", "b"};
+  for (int o = 0; o < 3; ++o) {
+    for (int a = 0; a < 2; ++a) {
+      specs.push_back({"s1", objects[o], attrs[a], 10 * o + a});
+      if ((o + a) % 2 == 0) specs.push_back({"s2", objects[o], attrs[a], 7});
+      specs.push_back({"s3", objects[o], attrs[a], o == 1 ? 10 * o + a : 9});
+    }
+  }
+  Dataset d = BuildDataset(specs);
+  GroundTruth truth;
+  for (int o = 0; o < 3; ++o) {
+    for (int a = 0; a < 2; ++a) truth.Set(o, a, Value(int64_t{10 * o + a}));
+  }
+  const size_t num_sources = 3;
+  const bool soa_default = SoaKernelsEnabled();
+  for (bool soa : {true, false}) {
+    SCOPED_TRACE(soa ? "columnar" : "legacy");
+    SetSoaKernelsEnabled(soa);
+    auto by_attr = BuildTruthVectors(d, truth);
+    auto by_object = BuildTruthVectors(d, truth, PartitionAxis::kObjects);
+    ASSERT_TRUE(by_attr.ok());
+    ASSERT_TRUE(by_object.ok());
+    EXPECT_EQ(by_object->objects, (std::vector<ObjectId>{0, 1, 2}));
+    EXPECT_TRUE(by_object->attributes.empty());
+    EXPECT_TRUE(by_attr->objects.empty());
+    EXPECT_EQ(by_object->dimension(), 2 * num_sources);
+    for (size_t o = 0; o < 3; ++o) {
+      for (size_t a = 0; a < 2; ++a) {
+        for (size_t src = 0; src < num_sources; ++src) {
+          const size_t attr_col = o * num_sources + src;
+          const size_t obj_col = a * num_sources + src;
+          EXPECT_EQ(by_object->vectors[o][obj_col],
+                    by_attr->vectors[a][attr_col]);
+          EXPECT_EQ(by_object->masks[o][obj_col], by_attr->masks[a][attr_col]);
+        }
+      }
+    }
+    // s1 always matches; s2 (value 7) never does; s3 only on object o2.
+    EXPECT_EQ(by_object->vectors[1],
+              (FeatureVector{1.0, 0.0, 1.0, 1.0, 0.0, 1.0}));
+  }
+  SetSoaKernelsEnabled(soa_default);
 }
 
 }  // namespace

@@ -111,6 +111,8 @@ Flags ParseFlags(int argc, char** argv) {
          "           [--deadline-ms=N] [--iteration-budget=N]\n"
          "           [--checkpoint-dir=DIR] [--checkpoint-interval-ms=N] "
          "[--resume]\n"
+         "           (of the TD-AC options --tdoc takes only --max-k; "
+         "TDAC_THREADS sizes its pool)\n"
          "exit codes: 0 ok, 1 error, 2 usage, 3 degraded "
          "(deadline/budget/SIGINT/SIGTERM;\n"
          "            outputs hold the labeled best-so-far result, and with\n"
@@ -191,6 +193,21 @@ int CmdRun(const Flags& flags) {
   const std::string claims_path = flags.Get("claims");
   const std::string algorithm_name = flags.Get("algorithm", "Accu");
   if (claims_path.empty()) Usage();
+  // TD-OC takes no sparse, agglomerative or refinement options and fans out
+  // at the process-default pool width: refuse the flags it would ignore.
+  if (flags.Has("tdoc") && !flags.Has("tdac")) {
+    for (const char* flag : {"sparse", "agglomerative", "refine"}) {
+      if (flags.Has(flag)) {
+        std::cerr << "--" << flag << " is not supported with --tdoc\n";
+        return 2;
+      }
+    }
+    if (flags.Has("threads") || flags.Has("serial")) {
+      std::cerr << "--threads/--serial are not supported with --tdoc; set "
+                   "TDAC_THREADS to size its thread pool\n";
+      return 2;
+    }
+  }
 
   auto dataset = tdac::LoadDataset(claims_path);
   if (!dataset.ok()) Die(dataset.status());
