@@ -151,11 +151,15 @@ Result<GenPartitionReport> GreedyPartitionAlgorithm::DiscoverWithReport(
   //
   // The wave frontier as of the last boundary the guard was still clean at
   // — a wave whose candidate scores may have been cut short mid-run is
-  // never checkpointed, so a resume re-runs it cleanly.
+  // never checkpointed, so a resume re-runs it cleanly. A restored frontier
+  // is clean by construction; freshly scored singletons only when the guard
+  // held through their scoring.
   std::string last_clean_state;
-  if (ckpt_on) {
+  bool have_last_clean = false;
+  if (ckpt_on && (restored || !guard.ShouldStop())) {
     last_clean_state = SerializeGreedySearch(
         current, current_score, report.partitions_explored, search_done);
+    have_last_clean = true;
   }
   bool improved = !search_done;
   std::optional<StopReason> trip;
@@ -214,6 +218,7 @@ Result<GenPartitionReport> GreedyPartitionAlgorithm::DiscoverWithReport(
       last_clean_state =
           SerializeGreedySearch(current, current_score,
                                 report.partitions_explored, !improved);
+      have_last_clean = true;
       if (improved) {
         TDAC_RETURN_NOT_OK(ckpt->MaybeStore(slot, [&] {
           return BindCheckpointContext(ctx, last_clean_state);
@@ -227,8 +232,9 @@ Result<GenPartitionReport> GreedyPartitionAlgorithm::DiscoverWithReport(
       }
     }
   }
-  if (ckpt_on && trip) {
-    // Final checkpoint on a Deadline/Cancelled stop.
+  if (ckpt_on && trip && have_last_clean) {
+    // Final checkpoint on a Deadline/Cancelled stop. A trip before any
+    // clean boundary writes nothing: the next run starts over.
     TDAC_RETURN_NOT_OK(ckpt->StoreNow(
         slot, BindCheckpointContext(ctx, last_clean_state)));
   }

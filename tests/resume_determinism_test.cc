@@ -164,6 +164,58 @@ TEST_F(ResumeDeterminismTest, GreedySearchResumesBitIdentical) {
   });
 }
 
+/// A base that cancels `token` as it starts: a stand-in for a deadline or
+/// cancellation landing inside the very first base run of a search.
+class CancelOnRun : public TruthDiscovery {
+ public:
+  CancelOnRun(const TruthDiscovery* inner, CancellationToken* token)
+      : inner_(inner), token_(token) {}
+  std::string_view name() const override { return inner_->name(); }
+
+ protected:
+  Result<TruthDiscoveryResult> DiscoverGuarded(
+      const DatasetLike& data, const RunGuard& guard) const override {
+    token_->Cancel();
+    return inner_->Discover(data, guard);
+  }
+
+ private:
+  const TruthDiscovery* inner_;
+  CancellationToken* token_;
+};
+
+// A trip inside the greedy search's initial singleton scoring leaves no
+// clean wave frontier, so nothing may be persisted: a checkpoint of the
+// cut-short singleton score would make every wave of the resumed run
+// compare against it. The next run recomputes to the uninterrupted answer.
+TEST_F(ResumeDeterminismTest, GreedyTripInInitialScoringPersistsNothing) {
+  GenPartitionOptions plain;
+  plain.base = &base_;
+  auto want = GreedyPartitionAlgorithm(plain).Discover(data_->dataset);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  CancellationToken token;
+  CancelOnRun tripping(&base_, &token);
+  Checkpointer ckpt = MakeCheckpointer();
+  GenPartitionOptions options;
+  options.base = &tripping;
+  options.checkpointer = &ckpt;
+  GreedyPartitionAlgorithm algo(options);
+  {
+    RunGuard guard(&token);
+    auto cut = algo.Discover(data_->dataset, guard);
+    ASSERT_TRUE(cut.ok()) << cut.status();
+    EXPECT_EQ(cut->stop_reason, StopReason::kCancelled);
+  }
+  EXPECT_EQ(FilesLeft(), 0u);
+
+  auto resumed = algo.Discover(data_->dataset);  // unguarded: runs clean
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_FALSE(resumed->degraded());
+  EXPECT_EQ(SerializeTruthDiscoveryResult(resumed.value()),
+            SerializeTruthDiscoveryResult(want.value()));
+}
+
 // A checkpoint from run A must not leak into run B: a snapshot taken with
 // different sweep bounds is ignored (context mismatch) and the run simply
 // recomputes, still landing on run B's uninterrupted answer.
