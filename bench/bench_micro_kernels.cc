@@ -9,7 +9,6 @@
 #include "clustering/silhouette.h"
 #include "common/random.h"
 #include "data/dataset_view.h"
-#include "data/soa_mode.h"
 #include "gen/synthetic.h"
 #include "td/accu.h"
 #include "td/copy_detection.h"
@@ -134,7 +133,8 @@ void BM_RestrictCopy(benchmark::State& state) {
   auto data = Table5Data(static_cast<int>(state.range(0)));
   auto group = Table5Group();
   for (auto _ : state) {
-    tdac::Dataset restricted = data.dataset.RestrictToAttributes(group);
+    tdac::Dataset restricted =
+        tdac::DatasetView(data.dataset, group).Materialize();
     benchmark::DoNotOptimize(restricted.num_claims());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -169,18 +169,16 @@ void BM_RestrictViewCached(benchmark::State& state) {
 }
 BENCHMARK(BM_RestrictViewCached)->Arg(400)->Arg(2000);
 
-// --- Columnar (SoA) kernels vs. the legacy row path ---------------------
+// --- Columnar (SoA) kernels ---------------------------------------------
 //
-// The data-layout comparison the docs quote: the same kernel run over the
-// same dataset with the columnar store disabled (range(1) == 0, legacy
-// Claim-row loops) and enabled (range(1) == 1). Shapes are the scales the
-// layout work targets: ~1.2M claims tall (20k objects x 6 attributes x 10
-// sources), ~1.2M claims wide (10^4 sources), and a 100-source shape for
-// the S x S copy-detection tally (pair matrices grow quadratically in S,
-// so the wide shape stays off this one).
+// Throughput of the columnar kernels at the scales the layout work
+// targets: ~1.2M claims tall (20k objects x 6 attributes x 10 sources),
+// ~1.2M claims wide (10^4 sources), and a 100-source shape for the S x S
+// copy-detection tally (pair matrices grow quadratically in S, so the wide
+// shape stays off this one).
 //
 // CI runs `--benchmark_filter=Soa --benchmark_format=json` and publishes
-// the result as the kernel-comparison artifact.
+// the result as the columnar-kernel artifact.
 
 const tdac::GeneratedData& TallMillion() {
   static const tdac::GeneratedData data = SyntheticData(20000, 7);
@@ -217,22 +215,8 @@ const tdac::GeneratedData& HundredSources() {
   return data;
 }
 
-// Pins the kernel path for one benchmark run and restores the default
-// (environment-driven) setting afterwards.
-class KernelPathGuard {
- public:
-  explicit KernelPathGuard(bool soa) : was_(tdac::SoaKernelsEnabled()) {
-    tdac::SetSoaKernelsEnabled(soa);
-  }
-  ~KernelPathGuard() { tdac::SetSoaKernelsEnabled(was_); }
-
- private:
-  bool was_;
-};
-
 void BM_SoaGroupClaims(benchmark::State& state,
                        const tdac::GeneratedData& data) {
-  KernelPathGuard guard(state.range(0) == 1);
   for (auto _ : state) {
     auto items = tdac::td_internal::GroupClaimsByItem(data.dataset);
     benchmark::DoNotOptimize(items);
@@ -246,12 +230,11 @@ void BM_SoaGroupClaimsTall(benchmark::State& state) {
 void BM_SoaGroupClaimsWide(benchmark::State& state) {
   BM_SoaGroupClaims(state, WideTenThousandSources());
 }
-BENCHMARK(BM_SoaGroupClaimsTall)->Arg(0)->Arg(1);
-BENCHMARK(BM_SoaGroupClaimsWide)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoaGroupClaimsTall);
+BENCHMARK(BM_SoaGroupClaimsWide);
 
 void BM_SoaTruthVectorsTall(benchmark::State& state) {
   const tdac::GeneratedData& data = TallMillion();
-  KernelPathGuard guard(state.range(0) == 1);
   for (auto _ : state) {
     auto m = tdac::BuildTruthVectors(data.dataset, data.truth);
     benchmark::DoNotOptimize(m);
@@ -259,11 +242,10 @@ void BM_SoaTruthVectorsTall(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_claims()));
 }
-BENCHMARK(BM_SoaTruthVectorsTall)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoaTruthVectorsTall);
 
 void BM_SoaMajorityVote(benchmark::State& state,
                         const tdac::GeneratedData& data) {
-  KernelPathGuard guard(state.range(0) == 1);
   tdac::MajorityVote algo;
   for (auto _ : state) {
     auto r = algo.Discover(data.dataset);
@@ -278,12 +260,10 @@ void BM_SoaMajorityVoteTall(benchmark::State& state) {
 void BM_SoaMajorityVoteWide(benchmark::State& state) {
   BM_SoaMajorityVote(state, WideTenThousandSources());
 }
-BENCHMARK(BM_SoaMajorityVoteTall)->Arg(0)->Arg(1);
-BENCHMARK(BM_SoaMajorityVoteWide)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoaMajorityVoteTall);
+BENCHMARK(BM_SoaMajorityVoteWide);
 
-// The flat S x S tally rewrite in DetectCopying is unconditional (integer
-// pair counts are layout-independent), so this one tracks absolute
-// throughput rather than a legacy/columnar pair.
+// The flat S x S pair tally in DetectCopying.
 void BM_SoaDetectCopying(benchmark::State& state) {
   const tdac::GeneratedData& data = HundredSources();
   auto items = tdac::td_internal::GroupClaimsByItem(data.dataset);

@@ -33,6 +33,7 @@
 
 #include "bench_common.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "data/dataset_io.h"
 #include "gen/synthetic.h"
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
       std::cerr << "generate failed: " << data.status() << "\n";
       return 1;
     }
-    const std::string path = std::string(scratch_dir) + "/bench_serve_claims_" +
+    const std::string path = std::string(scratch_dir) + "/bench_serve_claims" +
                              std::to_string(d) + ".csv";
     if (tdac::Status s = tdac::SaveDataset(data->dataset, path); !s.ok()) {
       std::cerr << "cannot write " << path << ": " << s << "\n";
@@ -235,7 +236,7 @@ int main(int argc, char** argv) {
   // --- warmup: touch every dataset cold, then repeats ---------------------
   phases.push_back(RunPhase(
       engine, "warmup", kDatasets * 4, delay_ms * 2, [&](int i) {
-        return base_request("w" + std::to_string(i), i % kDatasets);
+        return base_request(tdac::Numbered("w", i), i % kDatasets);
       }));
 
   // --- steady: ~50% capacity, mixed actions -------------------------------
@@ -257,7 +258,7 @@ int main(int argc, char** argv) {
   };
   phases.push_back(RunPhase(
       engine, "steady", requests_per_phase, 1000.0 / (capacity_rps * 0.5),
-      [&](int i) { return mixed_request("s" + std::to_string(i)); }));
+      [&](int i) { return mixed_request(tdac::Numbered("s", i)); }));
 
   // --- overload: 4x the admission limit's worth of uncacheable work -------
   // Every request is no-cache (forced cold execution), arriving 4x faster
@@ -267,7 +268,7 @@ int main(int argc, char** argv) {
       engine, "overload", 4 * admission_limit * 4,
       delay_ms / options.workers / 4.0, [&](int i) {
         tdac::ServeRequest request = base_request(
-            "o" + std::to_string(i),
+            tdac::Numbered("o", i),
             static_cast<int>(rng.NextBounded(kDatasets)));
         request.no_cache = true;
         return request;
@@ -277,7 +278,7 @@ int main(int argc, char** argv) {
   phases.push_back(RunPhase(
       engine, "recovery", requests_per_phase / 2,
       1000.0 / (capacity_rps * 0.5),
-      [&](int i) { return mixed_request("r" + std::to_string(i)); }));
+      [&](int i) { return mixed_request(tdac::Numbered("r", i)); }));
 
   const PhaseStats& overload = phases[2];
   const PhaseStats& recovery = phases[3];

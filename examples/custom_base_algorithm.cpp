@@ -39,25 +39,29 @@ class ConfidenceWeightedVote : public tdac::TruthDiscovery {
     result.iterations = 1;
     result.converged = true;
     result.source_trust = first.source_trust;
+    // Claims are read from the storage's columns: the source and the
+    // dictionary id of the value (equal values share one id).
+    const tdac::Dataset& storage = data.storage();
+    const std::vector<int32_t>& sources = storage.claim_sources();
+    const std::vector<int32_t>& value_ids = storage.claim_value_ids();
     for (uint64_t key : data.DataItems()) {
       tdac::ObjectId o = tdac::ObjectFromKey(key);
       tdac::AttributeId a = tdac::AttributeFromKey(key);
-      std::vector<tdac::Value> values;
+      std::vector<tdac::ValueId> values;
       std::vector<double> weights;
       for (int32_t idx : data.ClaimsOn(o, a)) {
-        const tdac::Claim& c = data.claim(static_cast<size_t>(idx));
-        double w =
-            0.05 + result.source_trust[static_cast<size_t>(c.source)];
+        const auto i = static_cast<size_t>(idx);
+        double w = 0.05 + result.source_trust[static_cast<size_t>(sources[i])];
         bool merged = false;
         for (size_t v = 0; v < values.size(); ++v) {
-          if (values[v] == c.value) {
+          if (values[v] == value_ids[i]) {
             weights[v] += w;
             merged = true;
             break;
           }
         }
         if (!merged) {
-          values.push_back(c.value);
+          values.push_back(value_ids[i]);
           weights.push_back(w);
         }
       }
@@ -67,7 +71,7 @@ class ConfidenceWeightedVote : public tdac::TruthDiscovery {
         total += weights[v];
         if (weights[v] > weights[best]) best = v;
       }
-      result.predicted.Set(o, a, values[best]);
+      result.predicted.Set(o, a, storage.value_dict().ValueAt(values[best]));
       result.confidence[key] = total > 0 ? weights[best] / total : 0.0;
     }
     return result;

@@ -71,9 +71,10 @@ int main() {
                               "items"});
     for (const auto& bin : calibration->bins) {
       if (bin.count == 0) continue;
-      table.AddRow({"[" + tdac::FormatDouble(bin.lower, 1) + ", " +
-                        tdac::FormatDouble(bin.upper, 1) + ")",
-                    tdac::FormatDouble(bin.mean_confidence, 3),
+      std::string range = "[";
+      range += tdac::FormatDouble(bin.lower, 1) + ", " +
+               tdac::FormatDouble(bin.upper, 1) + ")";
+      table.AddRow({range, tdac::FormatDouble(bin.mean_confidence, 3),
                     tdac::FormatDouble(bin.empirical_accuracy, 3),
                     std::to_string(bin.count)});
     }

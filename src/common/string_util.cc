@@ -66,4 +66,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+std::string Numbered(std::string_view prefix, long long n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace tdac

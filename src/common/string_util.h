@@ -28,6 +28,11 @@ std::string FormatDouble(double v, int precision);
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// `prefix` followed by `n` in decimal ("S1", "Q124"). Appends to the
+/// prefix instead of prepending a literal to a temporary, which GCC 12
+/// misreports as an overlapping copy (-Wrestrict) in optimized builds.
+std::string Numbered(std::string_view prefix, long long n);
+
 }  // namespace tdac
 
 #endif  // TDAC_COMMON_STRING_UTIL_H_

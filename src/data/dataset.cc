@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 
@@ -8,6 +9,12 @@
 #include "common/string_util.h"
 
 namespace tdac {
+
+Claim Dataset::claim(size_t index) const {
+  return Claim{claim_sources_[index], claim_objects_[index],
+               claim_attributes_[index],
+               value_dict_.ValueAt(claim_value_ids_[index])};
+}
 
 const std::vector<int32_t>& Dataset::ClaimsOn(ObjectId object,
                                               AttributeId attribute) const {
@@ -21,17 +28,17 @@ double Dataset::DataCoverageRate() const {
   // >= 1 claim on o. The numerator of the missing mass is
   // |S_o| * |A_o| - sum_{s in S_o} |A_{o-s}| and the second sum is simply the
   // number of claims on o (claims are unique per (s, o, a)).
-  if (claims_.empty()) return 0.0;
+  if (num_claims() == 0) return 0.0;
   struct PerObject {
     std::unordered_set<int32_t> source_set;
     std::unordered_set<int32_t> attribute_set;
     size_t claims = 0;
   };
   std::unordered_map<int32_t, PerObject> per_object;
-  for (const Claim& c : claims_) {
-    PerObject& po = per_object[c.object];
-    po.source_set.insert(c.source);
-    po.attribute_set.insert(c.attribute);
+  for (size_t i = 0; i < num_claims(); ++i) {
+    PerObject& po = per_object[claim_objects_[i]];
+    po.source_set.insert(claim_sources_[i]);
+    po.attribute_set.insert(claim_attributes_[i]);
     ++po.claims;
   }
   double full = 0.0;
@@ -48,45 +55,6 @@ double Dataset::DataCoverageRate() const {
   return 100.0 * present / full;
 }
 
-Dataset Dataset::RestrictToAttributes(
-    const std::vector<AttributeId>& attributes) const {
-  std::vector<char> keep(attribute_names_.size(), 0);
-  for (AttributeId a : attributes) {
-    TDAC_CHECK(a >= 0 && a < num_attributes())
-        << "RestrictToAttributes: attribute id out of range: " << a;
-    keep[static_cast<size_t>(a)] = 1;
-  }
-  Dataset out;
-  out.source_names_ = source_names_;
-  out.object_names_ = object_names_;
-  out.attribute_names_ = attribute_names_;
-  out.claims_.reserve(claims_.size());
-  for (const Claim& c : claims_) {
-    if (keep[static_cast<size_t>(c.attribute)]) out.claims_.push_back(c);
-  }
-  out.BuildIndexes();
-  return out;
-}
-
-Dataset Dataset::RestrictToObjects(const std::vector<ObjectId>& objects) const {
-  std::vector<char> keep(object_names_.size(), 0);
-  for (ObjectId o : objects) {
-    TDAC_CHECK(o >= 0 && o < num_objects())
-        << "RestrictToObjects: object id out of range: " << o;
-    keep[static_cast<size_t>(o)] = 1;
-  }
-  Dataset out;
-  out.source_names_ = source_names_;
-  out.object_names_ = object_names_;
-  out.attribute_names_ = attribute_names_;
-  out.claims_.reserve(claims_.size());
-  for (const Claim& c : claims_) {
-    if (keep[static_cast<size_t>(c.object)]) out.claims_.push_back(c);
-  }
-  out.BuildIndexes();
-  return out;
-}
-
 std::string Dataset::Summary() const {
   std::ostringstream os;
   os << num_sources() << " sources, " << num_objects() << " objects, "
@@ -95,10 +63,14 @@ std::string Dataset::Summary() const {
   return os.str();
 }
 
-void Dataset::AppendClaim(Claim claim) {
+void Dataset::AppendClaim(SourceId source, ObjectId object,
+                          AttributeId attribute, const Value& value) {
   TDAC_CHECK(!frozen_)
       << "Dataset: AddClaim after Build — the store is frozen";
-  claims_.push_back(std::move(claim));
+  claim_sources_.push_back(source);
+  claim_objects_.push_back(object);
+  claim_attributes_.push_back(attribute);
+  claim_value_ids_.push_back(value_dict_.Intern(value));
 }
 
 void Dataset::CheckMutable(const char* op) const {
@@ -107,42 +79,32 @@ void Dataset::CheckMutable(const char* op) const {
 }
 
 void Dataset::BuildIndexes() {
-  // Each Dataset instance is indexed exactly once; the columnar mirror
-  // (value dictionary included) is derived here and then frozen together
-  // with the claim list.
+  // Each Dataset instance is indexed exactly once: the ranks, items and
+  // indexes are derived from the id and value columns, and the dictionary
+  // is frozen together with them.
   TDAC_CHECK(!frozen_) << "Dataset::BuildIndexes on a frozen store";
+  const size_t n = num_claims();
   by_item_.clear();
   by_source_.assign(source_names_.size(), {});
   items_.clear();
-  claim_ids_.resize(claims_.size());
-  claim_objects_.resize(claims_.size());
-  claim_attributes_.resize(claims_.size());
-  claim_sources_.resize(claims_.size());
-  claim_value_ids_.resize(claims_.size());
-  claim_items_.resize(claims_.size());
-  for (size_t i = 0; i < claims_.size(); ++i) {
-    claim_ids_[i] = static_cast<int32_t>(i);
-    claim_objects_[i] = claims_[i].object;
-    claim_attributes_[i] = claims_[i].attribute;
-    claim_sources_[i] = claims_[i].source;
-    claim_value_ids_[i] = value_dict_.Intern(claims_[i].value);
-  }
+  claim_ids_.resize(n);
+  std::iota(claim_ids_.begin(), claim_ids_.end(), 0);
   value_dict_.Freeze();
-  claim_value_ranks_.resize(claims_.size());
-  for (size_t i = 0; i < claims_.size(); ++i) {
+  claim_value_ranks_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     claim_value_ranks_[i] = value_dict_.rank(claim_value_ids_[i]);
   }
-  for (size_t i = 0; i < claims_.size(); ++i) {
-    const Claim& c = claims_[i];
-    by_item_[ObjectAttrKey(c.object, c.attribute)].push_back(
-        static_cast<int32_t>(i));
-    by_source_[static_cast<size_t>(c.source)].push_back(
+  for (size_t i = 0; i < n; ++i) {
+    by_item_[ObjectAttrKey(claim_objects_[i], claim_attributes_[i])]
+        .push_back(static_cast<int32_t>(i));
+    by_source_[static_cast<size_t>(claim_sources_[i])].push_back(
         static_cast<int32_t>(i));
   }
   items_.reserve(by_item_.size());
   // lint: unordered-ok (keys are sorted below)
   for (const auto& [key, indices] : by_item_) items_.push_back(key);
   std::sort(items_.begin(), items_.end());
+  claim_items_.resize(n);
   for (size_t r = 0; r < items_.size(); ++r) {
     for (int32_t idx : by_item_.find(items_[r])->second) {
       claim_items_[static_cast<size_t>(idx)] = static_cast<int32_t>(r);

@@ -15,21 +15,19 @@ namespace tdac {
 /// \brief An immutable, indexed collection of conflicting claims.
 ///
 /// A `Dataset` is the triplet (S, A, O) of the paper plus the observations:
-/// name tables for sources, objects, and attributes, and the claim list with
-/// two indexes — by data item (object, attribute) and by source. Datasets are
+/// name tables for sources, objects, and attributes, and the claims with two
+/// indexes — by data item (object, attribute) and by source. Datasets are
 /// built with `DatasetBuilder`. Restricting to an attribute or object subset
-/// — how TD-AC runs a base algorithm per attribute cluster — is done either
-/// with a zero-copy `DatasetView` (preferred; see data/dataset_view.h) or by
-/// materializing a copy (`RestrictToAttributes` / `RestrictToObjects`); both
-/// preserve the original id space.
+/// — how TD-AC runs a base algorithm per attribute cluster — is a zero-copy
+/// `DatasetView` (data/dataset_view.h), which `DatasetView::Materialize`
+/// turns into an owning copy; both preserve the original id space.
 ///
-/// Alongside the row-oriented claim list the store keeps a full columnar
-/// (structure-of-arrays) mirror — dense int32 source/object/attribute/item
-/// columns plus a dictionary-encoded value column backed by a string arena
-/// (docs/data_layout.md) — which is what the hot kernels stream instead of
-/// striding through `Claim` structs. `BuildIndexes` derives the columns and
-/// freezes the store: a built Dataset is immutable, and the builder's
-/// append hooks reject further mutation (`frozen()`).
+/// The claims are stored column-wise only (structure of arrays): dense
+/// int32 source/object/attribute/item columns plus a dictionary-encoded
+/// value column backed by a string arena (docs/data_layout.md). The builder
+/// appends straight into the columns; `BuildIndexes` derives the ranks,
+/// items and indexes and freezes the store: a built Dataset is immutable,
+/// and the builder's append hooks reject further mutation (`frozen()`).
 class Dataset : public DatasetLike {
  public:
   Dataset() = default;
@@ -48,7 +46,7 @@ class Dataset : public DatasetLike {
   int num_attributes() const override {
     return static_cast<int>(attribute_names_.size());
   }
-  size_t num_claims() const override { return claims_.size(); }
+  size_t num_claims() const override { return claim_sources_.size(); }
 
   const std::string& source_name(SourceId s) const {
     return source_names_[static_cast<size_t>(s)];
@@ -70,27 +68,26 @@ class Dataset : public DatasetLike {
     return attribute_names_;
   }
 
-  const std::vector<Claim>& claims() const { return claims_; }
-  const Claim& claim(size_t index) const override { return claims_[index]; }
+  /// The claim with storage index `index`, assembled from the columns and
+  /// the dictionary. Its value is the dictionary's representative: of
+  /// `-0.0` and `+0.0` (one id), whichever the store saw first.
+  Claim claim(size_t index) const;
 
   /// All claim indices, 0..num_claims()-1.
   const std::vector<int32_t>& claim_ids() const override { return claim_ids_; }
 
-  /// Flat per-claim axis-id columns (claim_objects()[i] ==
-  /// claims()[i].object and likewise for attributes). Restriction filters
-  /// scan these instead of gathering whole `Claim` structs — the id is the
-  /// only field the keep-test needs, and a contiguous int32 column is far
-  /// kinder to the cache than striding through claims with inline Values.
+  /// Flat per-claim axis-id columns: claim i is about object
+  /// claim_objects()[i] and attribute claim_attributes()[i].
   const std::vector<int32_t>& claim_objects() const { return claim_objects_; }
   const std::vector<int32_t>& claim_attributes() const {
     return claim_attributes_;
   }
 
-  /// Per-claim source-id column (claim_sources()[i] == claims()[i].source).
+  /// Per-claim source-id column: claim i is made by claim_sources()[i].
   const std::vector<int32_t>& claim_sources() const { return claim_sources_; }
 
   /// Dictionary-encoded value column: claim_value_ids()[i] is the
-  /// `value_dict()` id of claims()[i].value. Two claims carry equal Values
+  /// `value_dict()` id of claim i's value. Two claims carry equal Values
   /// exactly when their ids are equal (see ValueDict), so vote tallies
   /// compare int32s here instead of Values.
   const std::vector<int32_t>& claim_value_ids() const {
@@ -114,13 +111,13 @@ class Dataset : public DatasetLike {
   /// The value dictionary behind claim_value_ids() (frozen, with ranks).
   const ValueDict& value_dict() const { return value_dict_; }
 
-  /// True once BuildIndexes has run (DatasetBuilder::Build, restriction,
-  /// DatasetView::Materialize all finish with it). A frozen store rejects
-  /// further appends: the columnar mirror and the claim list must never
-  /// diverge, and handed-out references into the columns must stay valid.
+  /// True once BuildIndexes has run (DatasetBuilder::Build and
+  /// DatasetView::Materialize both finish with it). A frozen store rejects
+  /// further appends: the indexes must never fall behind the columns, and
+  /// handed-out references into the columns must stay valid.
   bool frozen() const { return frozen_; }
 
-  /// Indices (into claims()) of all claims about the data item
+  /// Storage indices of all claims about the data item
   /// (object, attribute); empty when no source covers it.
   const std::vector<int32_t>& ClaimsOn(ObjectId object,
                                        AttributeId attribute) const override;
@@ -141,16 +138,6 @@ class Dataset : public DatasetLike {
   /// sources and attributes active per object.
   double DataCoverageRate() const;
 
-  /// A materialized dataset containing only claims whose attribute is in
-  /// `attributes`. Name tables and id spaces are preserved. Prefer
-  /// `DatasetView` for read-only restriction — it shares the parent's
-  /// storage and indexes instead of copying them.
-  Dataset RestrictToAttributes(const std::vector<AttributeId>& attributes) const;
-
-  /// The object-axis analogue of RestrictToAttributes (used by the TD-OC
-  /// object-partitioning extension).
-  Dataset RestrictToObjects(const std::vector<ObjectId>& objects) const;
-
   /// Human-readable one-line summary (counts + DCR).
   std::string Summary() const;
 
@@ -161,8 +148,10 @@ class Dataset : public DatasetLike {
 
   void BuildIndexes();
 
-  /// The builder's only way to add a claim; aborts on a frozen store.
-  void AppendClaim(Claim claim);
+  /// The only way to add a claim (builder and Materialize): appends to the
+  /// id columns and interns `value`; aborts on a frozen store.
+  void AppendClaim(SourceId source, ObjectId object, AttributeId attribute,
+                   const Value& value);
 
   /// Guard for the builder's name-table writes; aborts on a frozen store.
   void CheckMutable(const char* op) const;
@@ -170,7 +159,6 @@ class Dataset : public DatasetLike {
   std::vector<std::string> source_names_;
   std::vector<std::string> object_names_;
   std::vector<std::string> attribute_names_;
-  std::vector<Claim> claims_;
 
   std::unordered_map<uint64_t, std::vector<int32_t>> by_item_;
   std::vector<std::vector<int32_t>> by_source_;

@@ -58,10 +58,17 @@ Result<Value> ParseRowValue(const std::string& file_kind, size_t line,
 std::string DatasetToCsv(const Dataset& dataset) {
   CsvWriter w;
   w.WriteRow({"source", "object", "attribute", "kind", "value"});
-  for (const Claim& c : dataset.claims()) {
-    w.WriteRow({dataset.source_name(c.source), dataset.object_name(c.object),
-                dataset.attribute_name(c.attribute), KindName(c.value.kind()),
-                c.value.ToString()});
+  const std::vector<int32_t>& sources = dataset.claim_sources();
+  const std::vector<int32_t>& objects = dataset.claim_objects();
+  const std::vector<int32_t>& attributes = dataset.claim_attributes();
+  const std::vector<int32_t>& value_ids = dataset.claim_value_ids();
+  const ValueDict& dict = dataset.value_dict();
+  for (size_t i = 0; i < dataset.num_claims(); ++i) {
+    const Value value = dict.ValueAt(value_ids[i]);
+    w.WriteRow({dataset.source_name(sources[i]),
+                dataset.object_name(objects[i]),
+                dataset.attribute_name(attributes[i]), KindName(value.kind()),
+                value.ToString()});
   }
   return w.contents();
 }

@@ -1,38 +1,33 @@
 #include "data/dataset_like.h"
 
-namespace tdac {
+#include "data/dataset.h"
 
-std::vector<AttributeId> DatasetLike::ActiveAttributes() const {
-  std::vector<char> seen(static_cast<size_t>(num_attributes()), 0);
-  for (int32_t id : claim_ids()) {
-    seen[static_cast<size_t>(claim(static_cast<size_t>(id)).attribute)] = 1;
+namespace tdac {
+namespace {
+
+/// Ascending ids of the `axis` column entries that some claim of `data`
+/// carries.
+std::vector<int32_t> ActiveIds(const DatasetLike& data,
+                               const std::vector<int32_t>& axis, int count) {
+  std::vector<char> seen(static_cast<size_t>(count), 0);
+  for (int32_t id : data.claim_ids()) {
+    seen[static_cast<size_t>(axis[static_cast<size_t>(id)])] = 1;
   }
-  std::vector<AttributeId> out;
-  for (size_t a = 0; a < seen.size(); ++a) {
-    if (seen[a]) out.push_back(static_cast<AttributeId>(a));
+  std::vector<int32_t> out;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i]) out.push_back(static_cast<int32_t>(i));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<AttributeId> DatasetLike::ActiveAttributes() const {
+  return ActiveIds(*this, storage().claim_attributes(), num_attributes());
 }
 
 std::vector<ObjectId> DatasetLike::ActiveObjects() const {
-  std::vector<char> seen(static_cast<size_t>(num_objects()), 0);
-  for (int32_t id : claim_ids()) {
-    seen[static_cast<size_t>(claim(static_cast<size_t>(id)).object)] = 1;
-  }
-  std::vector<ObjectId> out;
-  for (size_t o = 0; o < seen.size(); ++o) {
-    if (seen[o]) out.push_back(static_cast<ObjectId>(o));
-  }
-  return out;
-}
-
-const Value* DatasetLike::ValueOf(SourceId source, ObjectId object,
-                                  AttributeId attribute) const {
-  for (int32_t idx : ClaimsOn(object, attribute)) {
-    const Claim& c = claim(static_cast<size_t>(idx));
-    if (c.source == source) return &c.value;
-  }
-  return nullptr;
+  return ActiveIds(*this, storage().claim_objects(), num_objects());
 }
 
 uint64_t DatasetFingerprint(const DatasetLike& data) {
@@ -46,11 +41,27 @@ uint64_t DatasetFingerprint(const DatasetLike& data) {
   mix(static_cast<uint64_t>(data.num_objects()));
   mix(static_cast<uint64_t>(data.num_attributes()));
   mix(data.num_claims());
+  const Dataset& storage = data.storage();
+  const std::vector<int32_t>& sources = storage.claim_sources();
+  const std::vector<int32_t>& objects = storage.claim_objects();
+  const std::vector<int32_t>& attributes = storage.claim_attributes();
+  const std::vector<int32_t>& value_ids = storage.claim_value_ids();
+  const ValueDict& dict = storage.value_dict();
+  // Each dictionary entry is hashed once, on first use. Equal values share
+  // one id and one Hash() (-0.0 and +0.0 included), so the bits match a
+  // per-claim Value hash.
+  std::vector<uint64_t> value_hash(static_cast<size_t>(dict.size()));
+  std::vector<char> hashed(static_cast<size_t>(dict.size()), 0);
   for (int32_t id : data.claim_ids()) {
-    const Claim& c = data.claim(static_cast<size_t>(id));
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(c.source)));
-    mix(ObjectAttrKey(c.object, c.attribute));
-    mix(c.value.Hash());
+    const auto i = static_cast<size_t>(id);
+    const auto v = static_cast<size_t>(value_ids[i]);
+    if (!hashed[v]) {
+      value_hash[v] = dict.ValueAt(value_ids[i]).Hash();
+      hashed[v] = 1;
+    }
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(sources[i])));
+    mix(ObjectAttrKey(objects[i], attributes[i]));
+    mix(value_hash[v]);
   }
   return h;
 }

@@ -97,9 +97,15 @@ Dataset DatasetView::Materialize() const {
   out.source_names_ = storage_->source_names();
   out.object_names_ = storage_->object_names();
   out.attribute_names_ = storage_->attribute_names();
-  out.claims_.reserve(claim_ids_.size());
+  const std::vector<int32_t>& sources = storage_->claim_sources();
+  const std::vector<int32_t>& objects = storage_->claim_objects();
+  const std::vector<int32_t>& attributes = storage_->claim_attributes();
+  const std::vector<int32_t>& value_ids = storage_->claim_value_ids();
+  const ValueDict& dict = storage_->value_dict();
   for (int32_t id : claim_ids_) {
-    out.claims_.push_back(storage_->claim(static_cast<size_t>(id)));
+    const auto i = static_cast<size_t>(id);
+    out.AppendClaim(sources[i], objects[i], attributes[i],
+                    dict.ValueAt(value_ids[i]));
   }
   out.BuildIndexes();
   return out;

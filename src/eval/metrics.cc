@@ -1,5 +1,7 @@
 #include "eval/metrics.h"
 
+#include "data/dataset.h"
+
 namespace tdac {
 
 PerformanceMetrics MetricsFromCounts(const ConfusionCounts& counts) {
@@ -25,36 +27,40 @@ PerformanceMetrics Evaluate(const DatasetLike& data,
   size_t items_correct = 0;
   size_t items_evaluated = 0;
 
-  // Item-level accuracy.
+  // Item-level accuracy and claim-level confusion, per data item. The
+  // predicted and gold values are resolved to dictionary ids once per item
+  // and each claim compares its value id (id equality == Value equality; a
+  // value the dictionary lacks resolves to kInvalidId, which no claim has).
+  const Dataset& storage = data.storage();
+  const std::vector<int32_t>& value_ids = storage.claim_value_ids();
+  const ValueDict& dict = storage.value_dict();
   for (uint64_t key : data.DataItems()) {
     ObjectId o = ObjectFromKey(key);
     AttributeId a = AttributeFromKey(key);
+    const std::vector<int32_t>& claims = data.ClaimsOn(o, a);
     const Value* p = predicted.Get(o, a);
     const Value* g = gold.Get(o, a);
-    if (p == nullptr || g == nullptr) continue;
-    ++items_evaluated;
-    if (*p == *g) ++items_correct;
-  }
-
-  // Claim-level confusion.
-  for (int32_t id : data.claim_ids()) {
-    const Claim& c = data.claim(static_cast<size_t>(id));
-    const Value* p = predicted.Get(c.object, c.attribute);
-    const Value* g = gold.Get(c.object, c.attribute);
     if (p == nullptr || g == nullptr) {
-      ++counts.skipped_claims;
+      counts.skipped_claims += claims.size();
       continue;
     }
-    const bool predicted_positive = (c.value == *p);
-    const bool actually_positive = (c.value == *g);
-    if (predicted_positive && actually_positive) {
-      ++counts.tp;
-    } else if (predicted_positive && !actually_positive) {
-      ++counts.fp;
-    } else if (!predicted_positive && actually_positive) {
-      ++counts.fn;
-    } else {
-      ++counts.tn;
+    ++items_evaluated;
+    if (*p == *g) ++items_correct;
+    const ValueId p_id = dict.Find(*p);
+    const ValueId g_id = dict.Find(*g);
+    for (int32_t idx : claims) {
+      const ValueId v = value_ids[static_cast<size_t>(idx)];
+      const bool predicted_positive = v == p_id;
+      const bool actually_positive = v == g_id;
+      if (predicted_positive && actually_positive) {
+        ++counts.tp;
+      } else if (predicted_positive && !actually_positive) {
+        ++counts.fp;
+      } else if (!predicted_positive && actually_positive) {
+        ++counts.fn;
+      } else {
+        ++counts.tn;
+      }
     }
   }
 

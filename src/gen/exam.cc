@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/dataset_builder.h"
 
 namespace tdac {
@@ -133,14 +134,14 @@ Result<ExamData> GenerateExam(const ExamConfig& config) {
   std::vector<SourceId> students(static_cast<size_t>(config.num_students));
   for (int s = 0; s < config.num_students; ++s) {
     students[static_cast<size_t>(s)] =
-        builder.AddSource("Student" + std::to_string(s + 1));
+        builder.AddSource(Numbered("Student", s + 1));
   }
   ObjectId exam = builder.AddObject("Exam");
   std::vector<AttributeId> questions(
       static_cast<size_t>(config.num_questions));
   for (int q = 0; q < config.num_questions; ++q) {
     questions[static_cast<size_t>(q)] =
-        builder.AddAttribute("Q" + std::to_string(q + 1));
+        builder.AddAttribute(Numbered("Q", q + 1));
   }
 
   for (int q = 0; q < config.num_questions; ++q) {

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/dataset_builder.h"
 
 namespace tdac {
@@ -174,12 +175,12 @@ Result<GeneratedData> GenerateSynthetic(const SyntheticConfig& config) {
   std::vector<SourceId> source_ids(static_cast<size_t>(config.num_sources));
   for (int s = 0; s < config.num_sources; ++s) {
     source_ids[static_cast<size_t>(s)] =
-        builder.AddSource("S" + std::to_string(s + 1));
+        builder.AddSource(Numbered("S", s + 1));
   }
   std::vector<AttributeId> attr_ids(static_cast<size_t>(num_attrs));
   for (int a = 0; a < num_attrs; ++a) {
     attr_ids[static_cast<size_t>(a)] =
-        builder.AddAttribute("A" + std::to_string(a + 1));
+        builder.AddAttribute(Numbered("A", a + 1));
   }
 
   // Group of each attribute, resolved once.
@@ -189,7 +190,7 @@ Result<GeneratedData> GenerateSynthetic(const SyntheticConfig& config) {
   }
 
   for (int o = 0; o < config.num_objects; ++o) {
-    ObjectId oid = builder.AddObject("O" + std::to_string(o + 1));
+    ObjectId oid = builder.AddObject(Numbered("O", o + 1));
     for (int a = 0; a < num_attrs; ++a) {
       TDAC_ASSIGN_OR_RETURN(
           std::vector<int64_t> pool,
@@ -279,17 +280,17 @@ Result<ObjectCorrelatedData> GenerateObjectCorrelated(
   std::vector<SourceId> source_ids(static_cast<size_t>(config.num_sources));
   for (int s = 0; s < config.num_sources; ++s) {
     source_ids[static_cast<size_t>(s)] =
-        builder.AddSource("S" + std::to_string(s + 1));
+        builder.AddSource(Numbered("S", s + 1));
   }
   std::vector<AttributeId> attr_ids(
       static_cast<size_t>(config.num_attributes));
   for (int a = 0; a < config.num_attributes; ++a) {
     attr_ids[static_cast<size_t>(a)] =
-        builder.AddAttribute("A" + std::to_string(a + 1));
+        builder.AddAttribute(Numbered("A", a + 1));
   }
 
   for (int o = 0; o < num_objects; ++o) {
-    ObjectId oid = builder.AddObject("O" + std::to_string(o + 1));
+    ObjectId oid = builder.AddObject(Numbered("O", o + 1));
     const int g = group_of[static_cast<size_t>(o)];
     for (int a = 0; a < config.num_attributes; ++a) {
       TDAC_ASSIGN_OR_RETURN(

@@ -21,10 +21,18 @@ namespace {
 /// instead of running unbounded.
 constexpr double kExpiredDeadlineMs = 1e-3;
 
-/// Flat per-claim cost estimate for the dataset LRU: the Claim row itself
-/// plus its share of the column arrays and name tables. Coarse on purpose
-/// — eviction only needs big datasets to weigh proportionally more.
-constexpr size_t kBytesPerClaimRow = 96;
+/// Flat per-claim cost estimate for the dataset LRU, from the columnar
+/// store's layout. Coarse on purpose — eviction only needs big datasets to
+/// weigh proportionally more:
+///   7 int32 columns (ids, sources, objects, attributes, value ids,
+///     value ranks, items)                                      28 bytes
+///   2 int32 index entries (by item, by source)                   8 bytes
+///   per-item index overhead (hash node, bucket, item key, list
+///     block: ~100 bytes per item at ~10 claims per item)        10 bytes
+///   growth slack of the appended columns and index lists       10 bytes
+/// = 56 bytes. The value dictionary grows with distinct values and the
+/// name tables with ids, not with claims, so neither is counted.
+constexpr size_t kBytesPerClaim = 56;
 
 uint64_t MixHash(uint64_t h, uint64_t value) {
   h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -46,7 +54,7 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 }
 
 size_t ApproxDatasetBytes(const Dataset& dataset) {
-  return sizeof(Dataset) + dataset.num_claims() * kBytesPerClaimRow;
+  return sizeof(Dataset) + dataset.num_claims() * kBytesPerClaim;
 }
 
 std::string Hex16(uint64_t value) {

@@ -41,7 +41,7 @@ struct ServeOptions {
   size_t result_cache_bytes = 8u << 20;
 
   /// Byte budget for loaded datasets kept resident, keyed by claims path
-  /// (LRU over approximate claim-row bytes). The dataset a request is
+  /// (LRU over approximate per-claim bytes). The dataset a request is
   /// using always stays resident even when it alone exceeds the budget,
   /// so the floor is one entry.
   size_t dataset_cache_bytes = 128u << 20;

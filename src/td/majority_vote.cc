@@ -1,7 +1,6 @@
 #include "td/majority_vote.h"
 
 #include "data/dataset.h"
-#include "data/soa_mode.h"
 
 namespace tdac {
 
@@ -11,7 +10,6 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("MajorityVote: empty dataset");
   }
-  const bool soa = SoaKernelsEnabled();
   TruthDiscoveryResult result;
   result.iterations = 1;
   result.converged = true;
@@ -21,7 +19,7 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
   // Elected dictionary id per *storage* item row (kInvalidId = the row is
   // not part of this dataset/view); lets the trust pass below compare
   // int32 columns instead of looking claims up in the prediction map.
-  std::vector<int32_t> elected(soa ? storage_items.size() : 0, kInvalidId);
+  std::vector<int32_t> elected(storage_items.size(), kInvalidId);
   size_t row = 0;
 
   const auto items = td_internal::GroupClaimsByItem(data);
@@ -37,43 +35,27 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
     AttributeId a = AttributeFromKey(item.key);
     result.predicted.Set(o, a, item.values[best]);
     result.confidence[item.key] = total > 0 ? votes[best] / total : 0.0;
-    if (soa) {
-      // Items arrive in ascending key order, a subsequence of the storage
-      // items — a single forward cursor finds each item's storage row.
-      while (storage_items[row] != item.key) ++row;
-      elected[row] = item.value_ids[best];
-    }
+    // Items arrive in ascending key order, a subsequence of the storage
+    // items — a single forward cursor finds each item's storage row.
+    while (storage_items[row] != item.key) ++row;
+    elected[row] = item.value_ids[best];
   }
 
   // Post-hoc source trust: agreement rate with the elected values.
   result.source_trust.assign(static_cast<size_t>(data.num_sources()), 0.0);
   std::vector<double> counts(static_cast<size_t>(data.num_sources()), 0.0);
-  if (soa) {
-    // Columnar pass: a claim agrees with the election iff its dictionary
-    // id equals its item's elected id (id equality == Value equality), so
-    // the loop is three contiguous int32 column reads per claim. The sums
-    // are the same 1.0-increments as the legacy pass, so the resulting
-    // trust is bit-identical.
-    const std::vector<int32_t>& sources = storage.claim_sources();
-    const std::vector<int32_t>& value_ids = storage.claim_value_ids();
-    const std::vector<int32_t>& claim_rows = storage.claim_items();
-    for (int32_t id : data.claim_ids()) {
-      const auto i = static_cast<size_t>(id);
-      const auto s = static_cast<size_t>(sources[i]);
-      counts[s] += 1.0;
-      if (value_ids[i] == elected[static_cast<size_t>(claim_rows[i])]) {
-        result.source_trust[s] += 1.0;
-      }
-    }
-  } else {
-    for (int32_t id : data.claim_ids()) {
-      // lint: claim-value-ok (legacy reference path for the SoA pass above)
-      const Claim& c = data.claim(static_cast<size_t>(id));
-      const Value* elected_value = result.predicted.Get(c.object, c.attribute);
-      counts[static_cast<size_t>(c.source)] += 1.0;
-      if (elected_value != nullptr && *elected_value == c.value) {
-        result.source_trust[static_cast<size_t>(c.source)] += 1.0;
-      }
+  // A claim agrees with the election iff its dictionary id equals its
+  // item's elected id (id equality == Value equality), so the loop is three
+  // contiguous int32 column reads per claim.
+  const std::vector<int32_t>& sources = storage.claim_sources();
+  const std::vector<int32_t>& value_ids = storage.claim_value_ids();
+  const std::vector<int32_t>& claim_rows = storage.claim_items();
+  for (int32_t id : data.claim_ids()) {
+    const auto i = static_cast<size_t>(id);
+    const auto s = static_cast<size_t>(sources[i]);
+    counts[s] += 1.0;
+    if (value_ids[i] == elected[static_cast<size_t>(claim_rows[i])]) {
+      result.source_trust[s] += 1.0;
     }
   }
   for (size_t s = 0; s < result.source_trust.size(); ++s) {

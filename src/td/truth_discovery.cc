@@ -7,7 +7,6 @@
 #include "common/checkpoint.h"
 #include "common/logging.h"
 #include "data/dataset.h"
-#include "data/soa_mode.h"
 
 namespace tdac {
 
@@ -123,59 +122,21 @@ Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
 namespace td_internal {
 namespace {
 
-/// Legacy grouping: per item, copy out (Value, SourceId) pairs and sort
-/// them with full Value comparisons. Kept verbatim as the differential
-/// reference the columnar path is tested against.
-std::vector<ItemConflict> GroupClaimsByItemLegacy(const DatasetLike& data) {
-  std::vector<ItemConflict> out;
-  out.reserve(data.DataItems().size());
-  for (uint64_t key : data.DataItems()) {
-    const auto& claim_indices =
-        data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
-    ItemConflict item;
-    item.key = key;
-    // Collect (value, source) pairs, then sort by value for determinism.
-    std::vector<std::pair<Value, SourceId>> pairs;
-    pairs.reserve(claim_indices.size());
-    for (int32_t idx : claim_indices) {
-      // lint: claim-value-ok (this IS the legacy reference path)
-      const Claim& c = data.claim(static_cast<size_t>(idx));
-      pairs.emplace_back(c.value, c.source);
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first < b.first) return true;
-                if (b.first < a.first) return false;
-                return a.second < b.second;
-              });
-    for (auto& [value, source] : pairs) {
-      if (item.values.empty() || !(item.values.back() == value)) {
-        item.values.push_back(value);
-        item.supporters.emplace_back();
-      }
-      item.supporters.back().push_back(source);
-    }
-    out.push_back(std::move(item));
-  }
-  return out;
-}
-
 /// Columnar grouping: each claim of an item becomes one packed uint64,
 /// `(value rank << 32) | source`, read straight from the storage columns.
-/// Sorting the packed keys is exactly the legacy (value, source) sort —
-/// ranks are assigned in ascending Value order and equal Values share one
-/// dictionary id — and each distinct rank run becomes one conflict entry,
-/// its Value materialized once from the dictionary instead of copied per
-/// claim. Sources within a run come out ascending for free.
+/// Sorting the packed keys sorts by (value, source) — ranks are assigned in
+/// ascending Value order and equal Values share one dictionary id — and
+/// each distinct rank run becomes one conflict entry, its Value
+/// materialized once from the dictionary. Sources within a run come out
+/// ascending for free.
 ///
-/// Callers must check GroupKeysFitPackedWidth before taking this path: a
-/// rank or source id at or past 2^32 would alias another key's high or low
-/// half and silently reorder the sort.
+/// Callers must check GroupKeysFitPackedWidth first: a rank or source id at
+/// or past 2^32 would alias another key's high or low half and silently
+/// reorder the sort.
 ///
-/// Known divergence (unreachable through checked ingestion): two claims
-/// with *distinct NaN* payloads on one item order by interning order here
-/// vs. source order on the legacy path. FromTextChecked rejects non-finite
-/// doubles, so no built dataset carries NaN values.
+/// Two claims with *distinct NaN* payloads on one item order by interning
+/// order (unreachable through checked ingestion: FromTextChecked rejects
+/// non-finite doubles, so no built dataset carries NaN values).
 std::vector<ItemConflict> GroupClaimsByItemSoa(const DatasetLike& data) {
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& ranks = storage.claim_value_ranks();
@@ -248,14 +209,13 @@ uint64_t PackGroupKey(int64_t rank, int64_t source) {
 std::vector<ItemConflict> GroupClaimsByItem(const DatasetLike& data) {
   // Width guard: the packed sort is only lexicographic while ranks and
   // source ids both fit their 32-bit half. Today's int32 id types cannot
-  // exceed it, but the fallback keeps the invariant explicit instead of
-  // baked into the type widths.
-  if (SoaKernelsEnabled() &&
-      GroupKeysFitPackedWidth(data.storage().value_dict().size(),
-                              data.storage().num_sources())) {
-    return GroupClaimsByItemSoa(data);
-  }
-  return GroupClaimsByItemLegacy(data);
+  // exceed it, but the check keeps the invariant explicit instead of baked
+  // into the type widths.
+  TDAC_CHECK(GroupKeysFitPackedWidth(data.storage().value_dict().size(),
+                                     data.storage().num_sources()))
+      << "GroupClaimsByItem: value ranks or source ids exceed the packed "
+         "group-key width";
+  return GroupClaimsByItemSoa(data);
 }
 
 size_t ArgMax(const std::vector<double>& scores) {

@@ -110,30 +110,25 @@ struct ItemConflict {
   std::vector<Value> values;
   std::vector<std::vector<SourceId>> supporters;
 
-  /// Storage-dictionary id of each value, aligned with `values`. Filled by
-  /// the columnar grouping path only (empty on the legacy path) — kernels
-  /// that want integer value compares must fall back to `values` when this
-  /// is empty.
+  /// Storage-dictionary id of each value, aligned with `values`: kernels
+  /// compare these int32s instead of the Values.
   std::vector<ValueId> value_ids;
 };
 
 /// Groups the dataset's claims by data item, with values sorted (total order
 /// on Value) so that downstream tie-breaking is deterministic.
 ///
-/// Two implementations behind one contract (data/soa_mode.h): the legacy
-/// path sorts (Value, SourceId) pairs per item; the columnar path packs
-/// each claim's (value rank << 32 | source) into one uint64 from the
-/// storage columns and sorts those — same order, no Value copies or string
-/// comparisons. Outputs are bit-identical for any dataset that passed
-/// checked ingestion (distinct non-NaN values have distinct ranks in value
-/// order; equal values share one dictionary id).
+/// Each claim's (value rank << 32 | source) is packed into one uint64 from
+/// the storage columns and the packed keys are sorted per item — the
+/// (Value, SourceId) order without Value copies or string comparisons
+/// (distinct non-NaN values have distinct ranks in value order; equal
+/// values share one dictionary id).
 ///
 /// The packed form assumes both halves fit in 32 bits. That assumption is
-/// enforced, not implicit: the columnar path first checks
-/// `GroupKeysFitPackedWidth` against the store's dictionary size and source
-/// count and falls back to the legacy comparator when either axis is too
-/// wide, so a future widening of the id types can never silently corrupt
-/// the sort order.
+/// enforced, not implicit: `GroupKeysFitPackedWidth` is checked against the
+/// store's dictionary size and source count, and the run aborts when either
+/// axis is too wide, so a future widening of the id types can never
+/// silently corrupt the sort order.
 std::vector<ItemConflict> GroupClaimsByItem(const DatasetLike& data);
 
 /// Number of distinct values representable in one half of a packed group

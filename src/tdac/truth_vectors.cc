@@ -1,43 +1,16 @@
 #include "tdac/truth_vectors.h"
 
 #include "data/dataset.h"
-#include "data/soa_mode.h"
 
 namespace tdac {
 namespace {
-
-/// Legacy build: one GroundTruth hash lookup and one Value comparison per
-/// claim. Kept as the differential reference for the columnar path.
-void FillTruthVectorsLegacy(const DatasetLike& data,
-                            const GroundTruth& reference, PartitionAxis axis,
-                            const std::vector<int>& row_of,
-                            size_t num_sources, TruthVectorMatrix* matrix) {
-  const bool by_object = axis == PartitionAxis::kObjects;
-  for (int32_t id : data.claim_ids()) {
-    // lint: claim-value-ok (legacy reference path for the SoA fill below)
-    const Claim& c = data.claim(static_cast<size_t>(id));
-    const int r = row_of[static_cast<size_t>(by_object ? c.object
-                                                       : c.attribute)];
-    if (r < 0) continue;
-    const size_t col =
-        static_cast<size_t>(by_object ? c.attribute : c.object) * num_sources +
-        static_cast<size_t>(c.source);
-    matrix->masks[static_cast<size_t>(r)][col] = 1;
-    const Value* truth = reference.Get(c.object, c.attribute);
-    if (truth != nullptr && *truth == c.value) {
-      matrix->vectors[static_cast<size_t>(r)][col] = 1.0;
-    }
-  }
-}
 
 /// Columnar build: resolve the reference value to a dictionary id once per
 /// data item (`ValueDict::Find`), then stream that item's claims comparing
 /// int32 ids against it — no per-claim hashing, no Value comparisons. A
 /// reference value absent from the dictionary (or NaN, which nothing
-/// compares equal to) yields kInvalidId, which no claim id matches —
-/// exactly the legacy "no truth hit" outcome. The cells written are the
-/// same idempotent 1-writes as the legacy fill, so the matrix is
-/// bit-identical.
+/// compares equal to) yields kInvalidId, which no claim id matches: no
+/// truth hit.
 void FillTruthVectorsSoa(const DatasetLike& data, const GroundTruth& reference,
                          PartitionAxis axis, const std::vector<int>& row_of,
                          size_t num_sources, TruthVectorMatrix* matrix) {
@@ -100,12 +73,7 @@ Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
     row_of[static_cast<size_t>(rows[r])] = static_cast<int>(r);
   }
 
-  if (SoaKernelsEnabled()) {
-    FillTruthVectorsSoa(data, reference, axis, row_of, num_sources, &matrix);
-  } else {
-    FillTruthVectorsLegacy(data, reference, axis, row_of, num_sources,
-                           &matrix);
-  }
+  FillTruthVectorsSoa(data, reference, axis, row_of, num_sources, &matrix);
   return matrix;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_util.h"
 
 namespace tdac {
@@ -33,7 +34,7 @@ TEST(CopyDetectionTest, SharedFalseValuesImplyDependence) {
   // (majority) truth independently.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 30; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 10 + i});
     specs.push_back({"s3", "o", attr, 5000 + i});
@@ -54,7 +55,7 @@ TEST(CopyDetectionTest, SharedFalseValuesImplyDependence) {
 TEST(CopyDetectionTest, SharedTrueValuesExculpateByDefault) {
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 30; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 10 + i});
     specs.push_back({"s3", "o", attr, 7000 + i});
@@ -79,7 +80,7 @@ TEST(CopyDetectionTest, SharedTrueValuesExculpateByDefault) {
 TEST(CopyDetectionTest, DisagreeingSourcesAreIndependent) {
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 20; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 900 + i});
   }
@@ -108,7 +109,7 @@ TEST(CopyDetectionTest, NoCommonItemsMeansZeroProbability) {
 TEST(CopyDetectionTest, MatrixIsSymmetric) {
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 10; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 10 + i});
     specs.push_back({"s3", "o", attr, 99 + i});
@@ -133,7 +134,7 @@ TEST(CopyDetectionTest, ElectionNoiseFloorForgivesRareFalseShares) {
   // removed.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 60; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 10 + i});
     // Three dissenters so the majority elects their value on 3 items,
@@ -164,7 +165,7 @@ TEST(CopyDetectionTest, DisagreementWeightExculpates) {
   // raising the disagreement weight must lower the dependence probability.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 40; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 10 + i});
     int64_t v3 = (i < 3) ? 9000 : 5000 + i;     // shares 9000 with s4 3x
@@ -189,7 +190,7 @@ TEST(CopyDetectionTest, DisagreementWeightExculpates) {
 TEST(CopyDetectionTest, ProbabilitiesAreInUnitInterval) {
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 25; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, i});
     specs.push_back({"s2", "o", attr, i % 3 == 0 ? i : 1000 + i});
     specs.push_back({"s3", "o", attr, 1000 + i});

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_util.h"
 
 namespace tdac {
@@ -39,7 +40,7 @@ TEST(CrhTest, WeightedVoteBeatsRawCountAfterCalibration) {
   // weight step the reliable pair must win the contested items.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 20; ++i) {
-    std::string attr = "cal" + std::to_string(i);
+    std::string attr = Numbered("cal", i);
     specs.push_back({"g1", "o", attr, 10 + i});
     specs.push_back({"g2", "o", attr, 10 + i});
     specs.push_back({"b1", "o", attr, 100 + i});
@@ -96,7 +97,7 @@ TEST(CrhTest, NameIsStable) { EXPECT_EQ(Crh().name(), "CRH"); }
 TEST(CrhTest, AllSourcesAgreeUniformFallback) {
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 6; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 42 + i});
     specs.push_back({"s2", "o", attr, 42 + i});
     specs.push_back({"s3", "o", attr, 42 + i});

@@ -1,5 +1,6 @@
 #include "data/dataset_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -27,10 +28,40 @@ TEST(DatasetIoTest, CsvRoundTripPreservesClaims) {
   EXPECT_EQ(loaded->num_claims(), d.num_claims());
   EXPECT_EQ(loaded->num_sources(), d.num_sources());
   EXPECT_EQ(loaded->num_attributes(), d.num_attributes());
-  // Values round-trip with kinds intact.
-  const Value* v = loaded->ValueOf(loaded->claims()[3].source, 0, 1);
-  ASSERT_NE(v, nullptr);
-  EXPECT_TRUE(v->is_double());
+  // Claims round-trip in order, values with kinds intact.
+  for (size_t i = 0; i < d.num_claims(); ++i) {
+    EXPECT_EQ(loaded->claim(i), d.claim(i)) << "claim " << i;
+  }
+  EXPECT_TRUE(loaded->claim(3).value.is_double());
+}
+
+// -0.0 and +0.0 are one value (equal under Value::operator==, same Hash())
+// and share one dictionary id, so a claim reads back — and is exported —
+// as the dictionary's representative: the spelling the store saw first.
+TEST(DatasetIoTest, SignedZeroReadsBackAsTheFirstSpelling) {
+  for (const double first : {0.0, -0.0}) {
+    SCOPED_TRACE(std::signbit(first) ? "-0.0 first" : "+0.0 first");
+    DatasetBuilder b;
+    ASSERT_TRUE(b.AddClaim("s1", "o", "a", Value(first)).ok());
+    ASSERT_TRUE(b.AddClaim("s2", "o", "a", Value(-first)).ok());
+    Dataset d = b.Build().MoveValue();
+    EXPECT_EQ(d.claim_value_ids()[0], d.claim_value_ids()[1]);
+    for (size_t i = 0; i < d.num_claims(); ++i) {
+      const Value value = d.claim(i).value;
+      ASSERT_TRUE(value.is_double());
+      EXPECT_EQ(std::signbit(value.AsDouble()), std::signbit(first));
+      EXPECT_EQ(value, Value(-first));  // still equal to the other spelling
+      EXPECT_EQ(value.Hash(), Value(-first).Hash());
+    }
+    const std::string zero = std::signbit(first) ? "-0" : "0";
+    const std::string csv = DatasetToCsv(d);
+    EXPECT_EQ(csv, "source,object,attribute,kind,value\ns1,o,a,double," + zero +
+                       "\ns2,o,a,double," + zero + "\n");
+    auto loaded = DatasetFromCsv(csv);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(DatasetToCsv(*loaded), csv);
+    EXPECT_EQ(DatasetFingerprint(*loaded), DatasetFingerprint(d));
+  }
 }
 
 TEST(DatasetIoTest, CsvHeaderPresent) {

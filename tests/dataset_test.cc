@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "data/dataset_builder.h"
+#include "data/dataset_view.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -96,7 +98,7 @@ TEST(DatasetTest, ClaimsOnReturnsConflictSet) {
   const auto& on = d.ClaimsOn(fb, q1);
   EXPECT_EQ(on.size(), 3u);
   for (int32_t idx : on) {
-    const Claim& c = d.claim(static_cast<size_t>(idx));
+    const Claim c = d.claim(static_cast<size_t>(idx));
     EXPECT_EQ(c.object, fb);
     EXPECT_EQ(c.attribute, q1);
   }
@@ -109,11 +111,19 @@ TEST(DatasetTest, ClaimsBySource) {
   }
 }
 
-TEST(DatasetTest, ValueOfFindsClaimOrNull) {
+TEST(DatasetTest, ClaimReadsBackFromTheColumns) {
   Dataset d = Table1Dataset();
-  const Value* v = d.ValueOf(0, 0, 0);  // Source1, FB, Q1
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, Value("Algeria"));
+  // Claims come back in append order, values with their kinds.
+  EXPECT_EQ(d.claim(0), (Claim{0, 0, 0, Value("Algeria")}));  // Source1/FB/Q1
+  EXPECT_EQ(d.claim(1), (Claim{0, 0, 1, Value(int64_t{2000})}));
+  EXPECT_EQ(d.claim(3), (Claim{1, 0, 0, Value("Senegal")}));
+  for (size_t i = 0; i < d.num_claims(); ++i) {
+    const Claim c = d.claim(i);
+    EXPECT_EQ(c.source, d.claim_sources()[i]);
+    EXPECT_EQ(c.object, d.claim_objects()[i]);
+    EXPECT_EQ(c.attribute, d.claim_attributes()[i]);
+    EXPECT_EQ(c.value, d.value_dict().ValueAt(d.claim_value_ids()[i]));
+  }
 }
 
 TEST(DatasetTest, FullCoverageDcrIs100) {
@@ -132,9 +142,10 @@ TEST(DatasetTest, DcrDropsWithMissingClaims) {
   EXPECT_NEAR(d.DataCoverageRate(), 75.0, 1e-9);
 }
 
-TEST(DatasetTest, RestrictToAttributesKeepsIdSpace) {
+TEST(DatasetTest, MaterializedAttributeRestrictionKeepsIdSpace) {
   Dataset d = Table1Dataset();
-  Dataset r = d.RestrictToAttributes({0, 2});  // Q1 and Q3
+  Dataset r = DatasetView(d, std::vector<AttributeId>{0, 2})  // Q1 and Q3
+                  .Materialize();
   EXPECT_EQ(r.num_attributes(), 3);  // name table untouched
   EXPECT_EQ(r.num_claims(), 12u);
   EXPECT_EQ(r.ActiveAttributes(), (std::vector<AttributeId>{0, 2}));
@@ -142,18 +153,25 @@ TEST(DatasetTest, RestrictToAttributesKeepsIdSpace) {
   EXPECT_TRUE(r.ClaimsOn(0, 1).empty());
   // Names resolve identically.
   EXPECT_EQ(r.attribute_name(2), d.attribute_name(2));
+  // Same claims, in storage order, as an independent rebuild.
+  Dataset copy = testutil::RestrictedCopy(d, {0, 2});
+  ASSERT_EQ(r.num_claims(), copy.num_claims());
+  for (size_t i = 0; i < r.num_claims(); ++i) {
+    EXPECT_EQ(r.claim(i), copy.claim(i));
+  }
 }
 
-TEST(DatasetTest, RestrictToNothingYieldsEmptyClaims) {
+TEST(DatasetTest, MaterializedEmptyRestrictionYieldsEmptyClaims) {
   Dataset d = Table1Dataset();
-  Dataset r = d.RestrictToAttributes({});
+  Dataset r = DatasetView(d, std::vector<AttributeId>{}).Materialize();
   EXPECT_EQ(r.num_claims(), 0u);
   EXPECT_TRUE(r.DataItems().empty());
 }
 
-TEST(DatasetTest, RestrictToObjectsKeepsIdSpace) {
+TEST(DatasetTest, MaterializedObjectRestrictionKeepsIdSpace) {
   Dataset d = Table1Dataset();
-  Dataset r = d.RestrictToObjects({0});  // FB only
+  Dataset r = DatasetView(d, DatasetView::ObjectAxis{}, {0})  // FB only
+                  .Materialize();
   EXPECT_EQ(r.num_objects(), 2);         // name table untouched
   EXPECT_EQ(r.num_claims(), 9u);
   EXPECT_EQ(r.ActiveObjects(), (std::vector<ObjectId>{0}));

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/dataset.h"
 #include "data/dataset_builder.h"
 #include "data/dataset_view.h"
@@ -23,6 +24,7 @@
 #include "td/accu.h"
 #include "td/registry.h"
 #include "tdac/tdac.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -35,9 +37,9 @@ Dataset RandomDataset(uint64_t seed) {
   int num_objects = static_cast<int>(1 + rng.NextBounded(4));
   int num_attrs = static_cast<int>(1 + rng.NextBounded(6));
   DatasetBuilder b;
-  for (int s = 0; s < num_sources; ++s) b.AddSource("s" + std::to_string(s));
-  for (int o = 0; o < num_objects; ++o) b.AddObject("o" + std::to_string(o));
-  for (int a = 0; a < num_attrs; ++a) b.AddAttribute("a" + std::to_string(a));
+  for (int s = 0; s < num_sources; ++s) b.AddSource(Numbered("s", s));
+  for (int o = 0; o < num_objects; ++o) b.AddObject(Numbered("o", o));
+  for (int a = 0; a < num_attrs; ++a) b.AddAttribute(Numbered("a", a));
   size_t added = 0;
   for (int s = 0; s < num_sources; ++s) {
     for (int o = 0; o < num_objects; ++o) {
@@ -99,7 +101,7 @@ TEST_P(ViewBitIdentityTest, DiscoverOnViewEqualsDiscoverOnCopy) {
   std::vector<AttributeId> subset = RandomSubset(d, seed);
 
   DatasetView view(d, subset);
-  Dataset copy = d.RestrictToAttributes(subset);
+  Dataset copy = testutil::RestrictedCopy(d, subset);
   Dataset materialized = view.Materialize();
   ASSERT_EQ(view.num_claims(), copy.num_claims());
 
@@ -146,7 +148,7 @@ TEST_P(ViewOfViewBitIdentityTest, NestedViewEqualsDirectCopy) {
 
   DatasetView outer_view(d, outer);
   DatasetView nested(outer_view, inner);
-  Dataset copy = d.RestrictToAttributes(inner);
+  Dataset copy = testutil::RestrictedCopy(d, inner);
   ASSERT_EQ(nested.num_claims(), copy.num_claims());
 
   Accu base;

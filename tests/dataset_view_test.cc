@@ -18,6 +18,8 @@ namespace {
 
 using testutil::BuildDataset;
 using testutil::ClaimSpec;
+using testutil::CopyAxis;
+using testutil::RestrictedCopy;
 
 /// Three sources, two objects, three attributes, with a hole (s2 skips a2).
 Dataset SmallDataset() {
@@ -34,8 +36,9 @@ Dataset SmallDataset() {
 }
 
 /// Asserts the view exposes exactly the same logical contents as `copy`
-/// (the materialized restriction of the same subset).
+/// (an independently rebuilt restriction of the same subset).
 void ExpectViewMatchesCopy(const DatasetLike& view, const Dataset& copy) {
+  const Dataset& storage = view.storage();
   EXPECT_EQ(view.num_sources(), copy.num_sources());
   EXPECT_EQ(view.num_objects(), copy.num_objects());
   EXPECT_EQ(view.num_attributes(), copy.num_attributes());
@@ -48,12 +51,8 @@ void ExpectViewMatchesCopy(const DatasetLike& view, const Dataset& copy) {
   const auto& cids = copy.claim_ids();
   ASSERT_EQ(vids.size(), cids.size());
   for (size_t i = 0; i < vids.size(); ++i) {
-    const Claim& v = view.claim(static_cast<size_t>(vids[i]));
-    const Claim& c = copy.claim(static_cast<size_t>(cids[i]));
-    EXPECT_EQ(v.source, c.source);
-    EXPECT_EQ(v.object, c.object);
-    EXPECT_EQ(v.attribute, c.attribute);
-    EXPECT_EQ(v.value, c.value);
+    EXPECT_EQ(storage.claim(static_cast<size_t>(vids[i])),
+              copy.claim(static_cast<size_t>(cids[i])));
   }
   // Per-item and per-source indexes agree claim-by-claim.
   for (uint64_t key : copy.DataItems()) {
@@ -63,7 +62,7 @@ void ExpectViewMatchesCopy(const DatasetLike& view, const Dataset& copy) {
     const auto& clist = copy.ClaimsOn(o, a);
     ASSERT_EQ(vlist.size(), clist.size());
     for (size_t i = 0; i < vlist.size(); ++i) {
-      EXPECT_EQ(view.claim(static_cast<size_t>(vlist[i])).value,
+      EXPECT_EQ(storage.claim(static_cast<size_t>(vlist[i])).value,
                 copy.claim(static_cast<size_t>(clist[i])).value);
     }
   }
@@ -72,11 +71,8 @@ void ExpectViewMatchesCopy(const DatasetLike& view, const Dataset& copy) {
     const auto& clist = copy.ClaimsBySource(s);
     ASSERT_EQ(vlist.size(), clist.size()) << "source " << s;
     for (size_t i = 0; i < vlist.size(); ++i) {
-      const Claim& v = view.claim(static_cast<size_t>(vlist[i]));
-      const Claim& c = copy.claim(static_cast<size_t>(clist[i]));
-      EXPECT_EQ(v.object, c.object);
-      EXPECT_EQ(v.attribute, c.attribute);
-      EXPECT_EQ(v.value, c.value);
+      EXPECT_EQ(storage.claim(static_cast<size_t>(vlist[i])),
+                copy.claim(static_cast<size_t>(clist[i])));
     }
   }
 }
@@ -85,14 +81,14 @@ TEST(DatasetViewTest, AttributeViewMatchesCopy) {
   Dataset d = SmallDataset();
   std::vector<AttributeId> subset{0, 2};
   DatasetView view(d, subset);
-  ExpectViewMatchesCopy(view, d.RestrictToAttributes(subset));
+  ExpectViewMatchesCopy(view, RestrictedCopy(d, subset));
 }
 
 TEST(DatasetViewTest, ObjectViewMatchesCopy) {
   Dataset d = SmallDataset();
   std::vector<ObjectId> subset{1};
   DatasetView view(d, DatasetView::ObjectAxis{}, subset);
-  ExpectViewMatchesCopy(view, d.RestrictToObjects(subset));
+  ExpectViewMatchesCopy(view, RestrictedCopy(d, subset, CopyAxis::kObjects));
 }
 
 TEST(DatasetViewTest, EmptySubsetHasNoClaims) {
@@ -109,17 +105,17 @@ TEST(DatasetViewTest, ViewOfViewComposes) {
   Dataset d = SmallDataset();
   DatasetView outer(d, std::vector<AttributeId>{0, 1});
   DatasetView inner(outer, std::vector<AttributeId>{1});
-  ExpectViewMatchesCopy(inner, d.RestrictToAttributes({1}));
-  // Claim ids are storage indices at every depth.
+  ExpectViewMatchesCopy(inner, RestrictedCopy(d, {1}));
+  // Claim ids are storage indices at every depth, read from one storage.
+  EXPECT_EQ(&inner.storage(), &d);
   for (int32_t id : inner.claim_ids()) {
-    EXPECT_EQ(inner.claim(static_cast<size_t>(id)).attribute, 1);
-    EXPECT_EQ(&inner.claim(static_cast<size_t>(id)),
-              &d.claim(static_cast<size_t>(id)));
+    EXPECT_EQ(d.claim_attributes()[static_cast<size_t>(id)], 1);
   }
   // Mixed-axis nesting: objects within an attribute restriction.
   DatasetView nested(outer, DatasetView::ObjectAxis{}, {0});
+  EXPECT_EQ(&nested.storage(), &d);
   for (int32_t id : nested.claim_ids()) {
-    const Claim& c = nested.claim(static_cast<size_t>(id));
+    const Claim c = d.claim(static_cast<size_t>(id));
     EXPECT_EQ(c.object, 0);
     EXPECT_NE(c.attribute, 2);
   }
@@ -139,16 +135,45 @@ TEST(DatasetViewTest, MaterializeEqualsCopyPath) {
   std::vector<AttributeId> subset{1, 2};
   DatasetView view(d, subset);
   Dataset materialized = view.Materialize();
-  Dataset copy = d.RestrictToAttributes(subset);
+  Dataset copy = RestrictedCopy(d, subset);
+  ASSERT_TRUE(materialized.frozen());
   ASSERT_EQ(materialized.num_claims(), copy.num_claims());
   for (size_t i = 0; i < materialized.num_claims(); ++i) {
-    EXPECT_EQ(materialized.claim(i).source, copy.claim(i).source);
-    EXPECT_EQ(materialized.claim(i).object, copy.claim(i).object);
-    EXPECT_EQ(materialized.claim(i).attribute, copy.claim(i).attribute);
-    EXPECT_EQ(materialized.claim(i).value, copy.claim(i).value);
+    EXPECT_EQ(materialized.claim(i), copy.claim(i));
   }
-  EXPECT_EQ(materialized.source_name(0), copy.source_name(0));
-  EXPECT_EQ(materialized.attribute_name(2), copy.attribute_name(2));
+  // Same columns, dictionary ids included: both interned the kept values
+  // in storage order.
+  EXPECT_EQ(materialized.claim_value_ids(), copy.claim_value_ids());
+  EXPECT_EQ(materialized.claim_items(), copy.claim_items());
+  EXPECT_EQ(materialized.source_names(), d.source_names());
+  EXPECT_EQ(materialized.object_names(), d.object_names());
+  EXPECT_EQ(materialized.attribute_names(), d.attribute_names());
+}
+
+TEST(DatasetViewTest, MaterializeKeepsIdSpaces) {
+  Dataset d = SmallDataset();
+  Dataset r = DatasetView(d, std::vector<AttributeId>{0, 2}).Materialize();
+  EXPECT_EQ(r.num_attributes(), 3);  // name table untouched
+  EXPECT_EQ(r.num_claims(), 5u);
+  EXPECT_EQ(r.ActiveAttributes(), (std::vector<AttributeId>{0, 2}));
+  EXPECT_TRUE(r.ClaimsOn(0, 1).empty());  // claims on a1 are gone
+  EXPECT_EQ(r.attribute_name(2), d.attribute_name(2));
+
+  Dataset o = DatasetView(d, DatasetView::ObjectAxis{}, {0}).Materialize();
+  EXPECT_EQ(o.num_objects(), 2);  // name table untouched
+  EXPECT_EQ(o.num_claims(), 5u);
+  EXPECT_EQ(o.ActiveObjects(), (std::vector<ObjectId>{0}));
+  EXPECT_TRUE(o.ClaimsOn(1, 1).empty());  // o1's claims are gone
+  EXPECT_EQ(o.object_name(1), d.object_name(1));
+}
+
+TEST(DatasetViewTest, MaterializeOfEmptyViewIsEmpty) {
+  Dataset d = SmallDataset();
+  Dataset r = DatasetView(d, std::vector<AttributeId>{}).Materialize();
+  EXPECT_TRUE(r.frozen());
+  EXPECT_EQ(r.num_claims(), 0u);
+  EXPECT_TRUE(r.DataItems().empty());
+  EXPECT_EQ(r.num_attributes(), d.num_attributes());
 }
 
 TEST(RestrictionCacheTest, SameSubsetSharesOneView) {
@@ -265,9 +290,10 @@ TEST(RestrictionCacheTest, ConcurrentRequestsBuildEachViewOnce) {
         const DatasetView& view = *view_ptr;
         size_t expected = 0;
         for (int32_t id : d.claim_ids()) {
-          const Claim& c = d.claim(static_cast<size_t>(id));
+          const AttributeId attribute =
+              d.claim_attributes()[static_cast<size_t>(id)];
           for (AttributeId a : subset) {
-            if (c.attribute == a) ++expected;
+            if (attribute == a) ++expected;
           }
         }
         if (view.num_claims() != expected) mismatches.fetch_add(1);
@@ -310,7 +336,7 @@ TEST(TdacTrustMergeTest, MergedTrustMatchesManualCopyPathMerge) {
   std::vector<double> trust_weighted(num_sources, 0.0);
   std::vector<double> trust_claims(num_sources, 0.0);
   for (const auto& group : report->partition.groups()) {
-    Dataset restricted = d.RestrictToAttributes(group);
+    Dataset restricted = RestrictedCopy(d, group);
     if (restricted.num_claims() == 0) continue;
     auto partial = base.Discover(restricted);
     ASSERT_TRUE(partial.ok());

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/run_guard.h"
+#include "common/string_util.h"
 #include "td/registry.h"
 #include "test_util.h"
 
@@ -60,8 +61,8 @@ TEST(EdgeCasesTest, SingleSourceDataset) {
   std::vector<ClaimSpec> specs;
   for (int o = 0; o < 4; ++o) {
     for (int a = 0; a < 3; ++a) {
-      specs.push_back({"solo", "o" + std::to_string(o),
-                       "a" + std::to_string(a), 100 + o * 10 + a});
+      specs.push_back({"solo", Numbered("o", o),
+                       Numbered("a", a), 100 + o * 10 + a});
     }
   }
   ForEachAlgorithm(BuildDataset(specs), "single-source");
@@ -70,9 +71,9 @@ TEST(EdgeCasesTest, SingleSourceDataset) {
 TEST(EdgeCasesTest, SingleAttributeDataset) {
   std::vector<ClaimSpec> specs;
   for (int o = 0; o < 5; ++o) {
-    specs.push_back({"s1", "o" + std::to_string(o), "attr", 100 + o});
-    specs.push_back({"s2", "o" + std::to_string(o), "attr", 100 + o});
-    specs.push_back({"s3", "o" + std::to_string(o), "attr", 200 + o});
+    specs.push_back({"s1", Numbered("o", o), "attr", 100 + o});
+    specs.push_back({"s2", Numbered("o", o), "attr", 100 + o});
+    specs.push_back({"s3", Numbered("o", o), "attr", 200 + o});
   }
   ForEachAlgorithm(BuildDataset(specs), "single-attribute");
 }
@@ -82,7 +83,7 @@ TEST(EdgeCasesTest, OneClaimPerObject) {
   // every conflict set is a singleton.
   std::vector<ClaimSpec> specs;
   for (int o = 0; o < 6; ++o) {
-    specs.push_back({"s" + std::to_string(o), "o" + std::to_string(o), "a",
+    specs.push_back({Numbered("s", o), Numbered("o", o), "a",
                      1000 + o});
   }
   ForEachAlgorithm(BuildDataset(specs), "one-claim-per-object");
@@ -96,8 +97,8 @@ TEST(EdgeCasesTest, AllSourcesAgreeEverywhere) {
   for (int o = 0; o < 3; ++o) {
     for (int a = 0; a < 3; ++a) {
       for (int s = 0; s < 3; ++s) {
-        specs.push_back({"s" + std::to_string(s), "o" + std::to_string(o),
-                         "a" + std::to_string(a), 7});
+        specs.push_back({Numbered("s", s), Numbered("o", o),
+                         Numbered("a", a), 7});
       }
     }
   }

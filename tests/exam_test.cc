@@ -82,7 +82,8 @@ TEST(ExamTest, FilledAnswersAreFalse) {
   ASSERT_GT(df->dataset.num_claims(), ds->dataset.num_claims());
   auto rate = [](const ExamData& d) {
     size_t correct = 0;
-    for (const Claim& c : d.dataset.claims()) {
+    for (size_t i = 0; i < d.dataset.num_claims(); ++i) {
+      const Claim c = d.dataset.claim(i);
       if (c.value == *d.truth.Get(c.object, c.attribute)) ++correct;
     }
     return static_cast<double>(correct) /

@@ -107,7 +107,7 @@ TEST(GreedyPartitionTest, OracleGreedyNeverWorseThanSingletons) {
       AttributePartition::FromGroups(singles).MoveValue();
   GroundTruth merged;
   for (const auto& group : singletons.groups()) {
-    Dataset restricted = data.dataset.RestrictToAttributes(group);
+    Dataset restricted = testutil::RestrictedCopy(data.dataset, group);
     auto r = base.Discover(restricted);
     ASSERT_TRUE(r.ok());
     merged.MergeFrom(r->predicted);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/dataset_builder.h"
 #include "partition/attribute_partition.h"
 #include "partition/group_runner.h"
@@ -48,8 +49,8 @@ Dataset MakeDataset(int num_attrs) {
   DatasetBuilder builder;
   for (int o = 0; o < 4; ++o) {
     for (int a = 0; a < num_attrs; ++a) {
-      const std::string object = "o" + std::to_string(o);
-      const std::string attr = "a" + std::to_string(a);
+      const std::string object = Numbered("o", o);
+      const std::string attr = Numbered("a", a);
       EXPECT_TRUE(
           builder.AddClaim("good1", object, attr, Value(int64_t{100 + a}))
               .ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_util.h"
 
 namespace tdac {
@@ -77,7 +78,7 @@ TEST(PooledInvestmentTest, PoolingPreservesPerItemInvestmentMass) {
   // source's payoff.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 10; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"s1", "o", attr, 10 + i});
     specs.push_back({"s2", "o", attr, 10 + i});
     specs.push_back({"s3", "o", attr, 99 + i});

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "gen/synthetic.h"
 #include "test_util.h"
 
@@ -70,7 +71,7 @@ TEST(ProfileTest, HistogramTailBucketAggregates) {
   // One item with 12 distinct values lands in the 10+ bucket.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 12; ++i) {
-    specs.push_back({"s" + std::to_string(i), "o", "a", 100 + i});
+    specs.push_back({Numbered("s", i), "o", "a", 100 + i});
   }
   Dataset d = BuildDataset(specs);
   DatasetProfile p = ProfileDataset(d);

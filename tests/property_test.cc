@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,13 +12,14 @@
 #include "clustering/silhouette.h"
 #include "common/csv.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/dataset_builder.h"
 #include "eval/metrics.h"
 #include "gen/synthetic.h"
 #include "partition/attribute_partition.h"
+#include "td/accu.h"
 #include "td/registry.h"
 #include "tdac/tdac.h"
-#include "td/accu.h"
 
 namespace tdac {
 namespace {
@@ -30,9 +32,9 @@ Dataset RandomDataset(uint64_t seed) {
   int num_objects = static_cast<int>(1 + rng.NextBounded(4));
   int num_attrs = static_cast<int>(1 + rng.NextBounded(6));
   DatasetBuilder b;
-  for (int s = 0; s < num_sources; ++s) b.AddSource("s" + std::to_string(s));
-  for (int o = 0; o < num_objects; ++o) b.AddObject("o" + std::to_string(o));
-  for (int a = 0; a < num_attrs; ++a) b.AddAttribute("a" + std::to_string(a));
+  for (int s = 0; s < num_sources; ++s) b.AddSource(Numbered("s", s));
+  for (int o = 0; o < num_objects; ++o) b.AddObject(Numbered("o", o));
+  for (int a = 0; a < num_attrs; ++a) b.AddAttribute(Numbered("a", a));
   size_t added = 0;
   for (int s = 0; s < num_sources; ++s) {
     for (int o = 0; o < num_objects; ++o) {
@@ -243,7 +245,7 @@ TEST_P(MixedKindValuesTest, AlgorithmsHandleHeterogeneousValueKinds) {
   // and not confuse equal-looking values of different kinds.
   DatasetBuilder b;
   for (int i = 0; i < 6; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     ASSERT_TRUE(b.AddClaim("s1", "o", attr, Value("2")).ok());
     ASSERT_TRUE(b.AddClaim("s2", "o", attr, Value("2")).ok());
     ASSERT_TRUE(b.AddClaim("s3", "o", attr, Value(int64_t{2})).ok());
@@ -369,7 +371,7 @@ TEST_P(ValueOrderPropertyTest, TotalOrderIsStrictWeakAndHashConsistent) {
         for (size_t j = rng.NextBounded(4); j > 0; --j) {
           s += static_cast<char>('a' + rng.NextBounded(3));
         }
-        values.push_back(Value(s));
+        values.emplace_back(std::move(s));
       }
     }
   }

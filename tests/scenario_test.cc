@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/soa_mode.h"
 #include "eval/metrics.h"
 #include "td/majority_vote.h"
 #include "td/registry.h"
@@ -20,7 +19,8 @@ namespace {
 // about a generated scenario must be measurable from the dataset, and
 // everything the spec promises (skew shape, coverage, adversarial
 // structure, planted truth) must show up in the report. These run under
-// serial, TDAC_THREADS=8, and TDAC_SOA=0 registrations (tests/CMakeLists).
+// serial and TDAC_THREADS=8 registrations (tests/CMakeLists). MajorityVote
+// on the near-duplicate scenario is also byte-pinned by kernel_golden_test.
 
 ScenarioSpec SmallSpec() {
   ScenarioSpec spec;
@@ -84,9 +84,9 @@ TEST(ScenarioGenerateTest, DeterministicInSeedAndSensitiveToIt) {
   auto b = GenerateScenario(spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->dataset.claims().size(), b->dataset.claims().size());
-  for (size_t i = 0; i < a->dataset.claims().size(); ++i) {
-    EXPECT_EQ(a->dataset.claims()[i], b->dataset.claims()[i]);
+  ASSERT_EQ(a->dataset.num_claims(), b->dataset.num_claims());
+  for (size_t i = 0; i < a->dataset.num_claims(); ++i) {
+    EXPECT_EQ(a->dataset.claim(i), b->dataset.claim(i));
   }
   EXPECT_EQ(a->truth, b->truth);
   EXPECT_EQ(a->report.ToJson(), b->report.ToJson());
@@ -152,7 +152,8 @@ TEST(ScenarioRoundTripTest, ReportMatchesSpecAcrossTheMatrix) {
     EXPECT_EQ(generated->truth.size(),
               static_cast<size_t>(spec.num_objects) *
                   static_cast<size_t>(spec.num_attributes));
-    for (const Claim& claim : data.claims()) {
+    for (size_t i = 0; i < data.num_claims(); ++i) {
+      const Claim claim = data.claim(i);
       ASSERT_NE(generated->truth.Get(claim.object, claim.attribute), nullptr);
     }
 
@@ -198,7 +199,8 @@ TEST(ScenarioRoundTripTest, ReportMatchesSpecAcrossTheMatrix) {
       EXPECT_GT(report.near_duplicate_items, 0);
       // Every claim is a string within `near_duplicate_edits` substitutions
       // of its item's planted truth.
-      for (const Claim& claim : data.claims()) {
+      for (size_t i = 0; i < data.num_claims(); ++i) {
+        const Claim claim = data.claim(i);
         ASSERT_TRUE(claim.value.is_string());
         const Value* item_truth =
             generated->truth.Get(claim.object, claim.attribute);
@@ -230,7 +232,8 @@ TEST(ScenarioRoundTripTest, UltraSparseKeepsFloors) {
   ASSERT_TRUE(generated.ok());
   for (int64_t c : generated->report.claims_per_source) EXPECT_GE(c, 1);
   std::map<uint64_t, int> per_item;
-  for (const Claim& claim : generated->dataset.claims()) {
+  for (size_t i = 0; i < generated->dataset.num_claims(); ++i) {
+    const Claim claim = generated->dataset.claim(i);
     ++per_item[ObjectAttrKey(claim.object, claim.attribute)];
   }
   EXPECT_EQ(per_item.size(), static_cast<size_t>(spec.num_objects) *
@@ -254,7 +257,8 @@ TEST(ScenarioRoundTripTest, OracleRecoversPlantedTruth) {
     spec.unreliable_accuracy = 1.0;
     auto generated = GenerateScenario(spec);
     ASSERT_TRUE(generated.ok());
-    for (const Claim& claim : generated->dataset.claims()) {
+    for (size_t i = 0; i < generated->dataset.num_claims(); ++i) {
+      const Claim claim = generated->dataset.claim(i);
       EXPECT_EQ(claim.value,
                 *generated->truth.Get(claim.object, claim.attribute));
     }
@@ -266,27 +270,6 @@ TEST(ScenarioRoundTripTest, OracleRecoversPlantedTruth) {
     EXPECT_DOUBLE_EQ(metrics.item_accuracy, 1.0);
     EXPECT_EQ(metrics.items_evaluated, generated->truth.size());
   }
-}
-
-// The scenario datasets run bit-identically down the SoA and legacy kernel
-// paths (the same contract the differential suite pins for the synthetic
-// generators).
-TEST(ScenarioGenerateTest, SoaAndLegacyKernelPathsAgree) {
-  ScenarioSpec spec = SmallSpec();
-  spec.name = "soa-vs-legacy";
-  spec.adversary = AdversaryMode::kNearDuplicate;
-  auto generated = GenerateScenario(spec);
-  ASSERT_TRUE(generated.ok());
-  MajorityVote mv;
-  const bool initial_mode = SoaKernelsEnabled();
-  SetSoaKernelsEnabled(false);
-  auto legacy = mv.Discover(generated->dataset);
-  SetSoaKernelsEnabled(true);
-  auto soa = mv.Discover(generated->dataset);
-  SetSoaKernelsEnabled(initial_mode);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(soa.ok());
-  EXPECT_EQ(legacy->predicted, soa->predicted);
 }
 
 // Every registered algorithm completes on a scenario dataset (smoke-level:

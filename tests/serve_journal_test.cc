@@ -12,6 +12,7 @@
 #include "common/checkpoint.h"
 #include "common/csv.h"
 #include "common/io.h"
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
@@ -256,10 +257,10 @@ TEST_F(RequestJournalTest, CompactionBoundsTheFileAndClearsTemp) {
   // Push enough delivered work through to trip automatic compaction at
   // least once (threshold: 64 delivered records and 64 KiB of file).
   for (int i = 0; i < 400; ++i) {
-    auto seq = journal->Admit(MakeRequest("r" + std::to_string(i)));
+    auto seq = journal->Admit(MakeRequest(Numbered("r", i)));
     ASSERT_TRUE(seq.ok());
     ASSERT_TRUE(
-        journal->Complete(*seq, MakeResponse("r" + std::to_string(i))).ok());
+        journal->Complete(*seq, MakeResponse(Numbered("r", i))).ok());
     journal->Emitted(*seq);
   }
   const RequestJournal::Stats stats = journal->stats();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_util.h"
 
 namespace tdac {
@@ -44,7 +45,7 @@ TEST(SumsTest, MutualReinforcementBeatsRawCounting) {
   // agreeing pair's accumulated authority outweigh the raw 3-vs-2 count.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 30; ++i) {
-    std::string attr = "cal" + std::to_string(i);
+    std::string attr = Numbered("cal", i);
     specs.push_back({"a1", "o", attr, 10 + i});
     specs.push_back({"a2", "o", attr, 10 + i});
     specs.push_back({"noise", "o", attr, 500 + i});
@@ -91,7 +92,7 @@ TEST(AverageLogTest, DampsThinSources) {
   // maximally believed.
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 20; ++i) {
-    std::string attr = "a" + std::to_string(i);
+    std::string attr = Numbered("a", i);
     specs.push_back({"broad1", "o", attr, 10 + i});
     specs.push_back({"broad2", "o", attr, 10 + i});
   }

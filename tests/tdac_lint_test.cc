@@ -35,7 +35,9 @@ std::string LintBinary() {
 // relative file paths; the driver sorts them out.
 LintRun RunLint(const std::string& root,
                 const std::vector<std::string>& args = {}) {
-  std::string cmd = "'" + LintBinary() + "' --root '" + root + "'";
+  std::string cmd = "'";
+  cmd += LintBinary();
+  cmd += "' --root '" + root + "'";
   for (const std::string& a : args) cmd += " '" + a + "'";
   cmd += " 2>&1";
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "gen/synthetic.h"
 #include "td/accu.h"
 #include "tdac/tdac.h"
@@ -88,8 +89,8 @@ TEST(TrustEvalTest, SpearmanHandlesTies) {
     for (int a = 0; a < 3; ++a) {
       // s0,s1 always right; s2,s3 always wrong (tied groups).
       int64_t v = (i < 2) ? 1 : 2;
-      EXPECT_TRUE(b.AddClaim("s" + std::to_string(i), "o",
-                             "a" + std::to_string(a), Value(v))
+      EXPECT_TRUE(b.AddClaim(Numbered("s", i), "o",
+                             Numbered("a", a), Value(v))
                       .ok());
     }
   }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/soa_mode.h"
 #include "td/majority_vote.h"
 #include "test_util.h"
 
@@ -113,8 +112,8 @@ TEST(TruthVectorsTest, EmptyDatasetRejected) {
 
 // Object-axis rows are the transpose of the attribute-axis rows: cell
 // (object o, attribute a, source s) holds the same bit on both axes, for the
-// vectors and the masks alike, down both the columnar and the legacy fill.
-TEST(TruthVectorsTest, ObjectAxisIsTheTransposeOnBothKernelPaths) {
+// vectors and the masks alike. kernel_golden_test pins both matrices' bits.
+TEST(TruthVectorsTest, ObjectAxisIsTheTranspose) {
   std::vector<ClaimSpec> specs;
   const char* objects[] = {"o1", "o2", "o3"};
   const char* attrs[] = {"a", "b"};
@@ -131,34 +130,28 @@ TEST(TruthVectorsTest, ObjectAxisIsTheTransposeOnBothKernelPaths) {
     for (int a = 0; a < 2; ++a) truth.Set(o, a, Value(int64_t{10 * o + a}));
   }
   const size_t num_sources = 3;
-  const bool soa_default = SoaKernelsEnabled();
-  for (bool soa : {true, false}) {
-    SCOPED_TRACE(soa ? "columnar" : "legacy");
-    SetSoaKernelsEnabled(soa);
-    auto by_attr = BuildTruthVectors(d, truth);
-    auto by_object = BuildTruthVectors(d, truth, PartitionAxis::kObjects);
-    ASSERT_TRUE(by_attr.ok());
-    ASSERT_TRUE(by_object.ok());
-    EXPECT_EQ(by_object->objects, (std::vector<ObjectId>{0, 1, 2}));
-    EXPECT_TRUE(by_object->attributes.empty());
-    EXPECT_TRUE(by_attr->objects.empty());
-    EXPECT_EQ(by_object->dimension(), 2 * num_sources);
-    for (size_t o = 0; o < 3; ++o) {
-      for (size_t a = 0; a < 2; ++a) {
-        for (size_t src = 0; src < num_sources; ++src) {
-          const size_t attr_col = o * num_sources + src;
-          const size_t obj_col = a * num_sources + src;
-          EXPECT_EQ(by_object->vectors[o][obj_col],
-                    by_attr->vectors[a][attr_col]);
-          EXPECT_EQ(by_object->masks[o][obj_col], by_attr->masks[a][attr_col]);
-        }
+  auto by_attr = BuildTruthVectors(d, truth);
+  auto by_object = BuildTruthVectors(d, truth, PartitionAxis::kObjects);
+  ASSERT_TRUE(by_attr.ok());
+  ASSERT_TRUE(by_object.ok());
+  EXPECT_EQ(by_object->objects, (std::vector<ObjectId>{0, 1, 2}));
+  EXPECT_TRUE(by_object->attributes.empty());
+  EXPECT_TRUE(by_attr->objects.empty());
+  EXPECT_EQ(by_object->dimension(), 2 * num_sources);
+  for (size_t o = 0; o < 3; ++o) {
+    for (size_t a = 0; a < 2; ++a) {
+      for (size_t src = 0; src < num_sources; ++src) {
+        const size_t attr_col = o * num_sources + src;
+        const size_t obj_col = a * num_sources + src;
+        EXPECT_EQ(by_object->vectors[o][obj_col],
+                  by_attr->vectors[a][attr_col]);
+        EXPECT_EQ(by_object->masks[o][obj_col], by_attr->masks[a][attr_col]);
       }
     }
-    // s1 always matches; s2 (value 7) never does; s3 only on object o2.
-    EXPECT_EQ(by_object->vectors[1],
-              (FeatureVector{1.0, 0.0, 1.0, 1.0, 0.0, 1.0}));
   }
-  SetSoaKernelsEnabled(soa_default);
+  // s1 always matches; s2 (value 7) never does; s3 only on object o2.
+  EXPECT_EQ(by_object->vectors[1],
+            (FeatureVector{1.0, 0.0, 1.0, 1.0, 0.0, 1.0}));
 }
 
 }  // namespace

@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "data/dataset.h"
 #include "data/dataset_builder.h"
+#include "data/dataset_view.h"
 #include "data/value_dict.h"
+#include "test_util.h"
 
 namespace tdac {
 
@@ -25,8 +28,8 @@ namespace tdac {
 /// dataset the way a buggy builder would.
 class DatasetTestPeer {
  public:
-  static void AppendClaim(Dataset* d, Claim claim) {
-    d->AppendClaim(std::move(claim));
+  static void AppendClaim(Dataset* d, const Claim& claim) {
+    d->AppendClaim(claim.source, claim.object, claim.attribute, claim.value);
   }
   static void CheckMutable(const Dataset* d) { d->CheckMutable("test"); }
   static void BuildIndexes(Dataset* d) { d->BuildIndexes(); }
@@ -42,7 +45,7 @@ TEST(StringArenaTest, AddReturnsStableViewsAcrossGrowth) {
   // would trip heap-use-after-free right here.
   std::vector<std::pair<std::string_view, std::string>> stored;
   for (int i = 0; i < 5000; ++i) {
-    std::string s = "payload-" + std::to_string(i) +
+    std::string s = Numbered("payload-", i) +
                     std::string(static_cast<size_t>(i % 257), 'x');
     std::string_view view = arena.Add(s);
     stored.emplace_back(view, s);
@@ -177,7 +180,7 @@ TEST(ValueDictTest, ArenaGrowthKeepsInternedStringsFindable) {
   std::vector<std::pair<ValueId, std::string>> interned;
   for (int i = 0; i < 3000; ++i) {
     std::string s =
-        "k" + std::to_string(i) + std::string(static_cast<size_t>(i % 97), 'y');
+        Numbered("k", i) + std::string(static_cast<size_t>(i % 97), 'y');
     interned.emplace_back(dict.Intern(Value(s)), s);
   }
   // The lookup map is keyed by arena views; if growth moved any block the
@@ -205,7 +208,7 @@ Dataset SmallDataset() {
   return b.Build().MoveValue();
 }
 
-TEST(DatasetColumnsTest, ColumnsMirrorTheClaimList) {
+TEST(DatasetColumnsTest, ClaimAccessorReadsTheColumns) {
   Dataset d = SmallDataset();
   ASSERT_TRUE(d.frozen());
   ASSERT_EQ(d.claim_sources().size(), d.num_claims());
@@ -213,7 +216,7 @@ TEST(DatasetColumnsTest, ColumnsMirrorTheClaimList) {
   ASSERT_EQ(d.claim_items().size(), d.num_claims());
   ASSERT_EQ(d.claim_value_ranks().size(), d.num_claims());
   for (size_t i = 0; i < d.num_claims(); ++i) {
-    const Claim& c = d.claim(i);
+    const Claim c = d.claim(i);
     EXPECT_EQ(d.claim_sources()[i], c.source);
     EXPECT_EQ(d.claim_objects()[i], c.object);
     EXPECT_EQ(d.claim_attributes()[i], c.attribute);
@@ -230,14 +233,18 @@ TEST(DatasetColumnsTest, ColumnsMirrorTheClaimList) {
 
 TEST(DatasetColumnsTest, RestrictionRebuildsConsistentColumns) {
   Dataset d = SmallDataset();
-  Dataset restricted = d.RestrictToObjects({0});
+  Dataset restricted =
+      DatasetView(d, DatasetView::ObjectAxis{}, {0}).Materialize();
   ASSERT_TRUE(restricted.frozen());
   ASSERT_EQ(restricted.num_claims(), 2u);
+  // The same claims, columns and dictionary ids as an independent rebuild.
+  Dataset copy = testutil::RestrictedCopy(d, {0}, testutil::CopyAxis::kObjects);
+  EXPECT_EQ(restricted.claim_sources(), copy.claim_sources());
+  EXPECT_EQ(restricted.claim_objects(), copy.claim_objects());
+  EXPECT_EQ(restricted.claim_attributes(), copy.claim_attributes());
+  EXPECT_EQ(restricted.claim_value_ids(), copy.claim_value_ids());
   for (size_t i = 0; i < restricted.num_claims(); ++i) {
-    const Claim& c = restricted.claim(i);
-    EXPECT_EQ(restricted.claim_sources()[i], c.source);
-    EXPECT_EQ(restricted.value_dict().ValueAt(restricted.claim_value_ids()[i]),
-              c.value);
+    EXPECT_EQ(restricted.claim(i), copy.claim(i));
   }
 }
 
@@ -290,7 +297,7 @@ TEST(DatasetFreezeDeathTest, BuilderIsReusableAfterBuild) {
   ASSERT_TRUE(b.AddClaim(0, 0, 0, Value(2)).ok());
   auto second = b.Build();
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second->claims().empty());
+  EXPECT_EQ(second->num_claims(), 1u);
 }
 
 }  // namespace

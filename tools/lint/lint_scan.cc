@@ -91,7 +91,9 @@ std::string BlankNonCode(const std::string& src, FileScan* scan) {
       size_t d0 = i + 2;
       size_t dp = d0;
       while (dp < n && src[dp] != '(') ++dp;
-      std::string close = ")" + src.substr(d0, dp - d0) + "\"";
+      std::string close = ")";
+      close.append(src, d0, dp - d0);
+      close += '"';
       blank(i);
       ++i;
       while (i < n) {
