@@ -8,6 +8,7 @@
 #include "clustering/kmeans.h"
 #include "clustering/silhouette.h"
 #include "common/random.h"
+#include "data/dataset_io.h"
 #include "data/dataset_view.h"
 #include "gen/synthetic.h"
 #include "td/accu.h"
@@ -262,6 +263,24 @@ void BM_SoaMajorityVoteWide(benchmark::State& state) {
 }
 BENCHMARK(BM_SoaMajorityVoteTall);
 BENCHMARK(BM_SoaMajorityVoteWide);
+
+// CSV ingestion of the tall shape (~1.2M claims, ~31 MB of text): one
+// tokenizing pass straight into the columnar store, plus Build. CI runs
+// `--benchmark_filter=BM_DatasetFromCsv` as the ingestion artifact.
+void BM_DatasetFromCsv(benchmark::State& state) {
+  const tdac::Dataset& dataset = TallMillion().dataset;
+  const std::string csv = tdac::DatasetToCsv(dataset);
+  for (auto _ : state) {
+    auto loaded = tdac::DatasetFromCsv(csv);
+    if (!loaded.ok()) std::abort();
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(dataset.num_claims()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_DatasetFromCsv)->Unit(benchmark::kMillisecond);
 
 // The flat S x S pair tally in DetectCopying.
 void BM_SoaDetectCopying(benchmark::State& state) {

@@ -64,13 +64,21 @@ std::string Dataset::Summary() const {
 }
 
 void Dataset::AppendClaim(SourceId source, ObjectId object,
-                          AttributeId attribute, const Value& value) {
+                          AttributeId attribute, const ValueRef& value) {
   TDAC_CHECK(!frozen_)
       << "Dataset: AddClaim after Build — the store is frozen";
   claim_sources_.push_back(source);
   claim_objects_.push_back(object);
   claim_attributes_.push_back(attribute);
   claim_value_ids_.push_back(value_dict_.Intern(value));
+}
+
+void Dataset::ReserveClaims(size_t claims) {
+  CheckMutable("ReserveClaims");
+  claim_sources_.reserve(claims);
+  claim_objects_.reserve(claims);
+  claim_attributes_.reserve(claims);
+  claim_value_ids_.reserve(claims);
 }
 
 void Dataset::CheckMutable(const char* op) const {

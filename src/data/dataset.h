@@ -151,7 +151,10 @@ class Dataset : public DatasetLike {
   /// The only way to add a claim (builder and Materialize): appends to the
   /// id columns and interns `value`; aborts on a frozen store.
   void AppendClaim(SourceId source, ObjectId object, AttributeId attribute,
-                   const Value& value);
+                   const ValueRef& value);
+
+  /// Reserves the four claim columns for `claims` appends.
+  void ReserveClaims(size_t claims);
 
   /// Guard for the builder's name-table writes; aborts on a frozen store.
   void CheckMutable(const char* op) const;

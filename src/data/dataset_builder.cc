@@ -7,48 +7,55 @@ namespace tdac {
 namespace {
 template <typename Map>
 int32_t InternName(Map* map, std::vector<std::string>* names,
-                   const std::string& name) {
-  auto [it, inserted] = map->emplace(name, static_cast<int32_t>(names->size()));
-  if (inserted) names->push_back(name);
-  return it->second;
+                   std::string_view name) {
+  auto it = map->find(name);
+  if (it != map->end()) return it->second;
+  const auto id = static_cast<int32_t>(names->size());
+  names->emplace_back(name);
+  map->emplace(names->back(), id);
+  return id;
 }
 
 template <typename Map>
-int32_t LookupName(const Map& map, const std::string& name) {
+int32_t LookupName(const Map& map, std::string_view name) {
   auto it = map.find(name);
   return it == map.end() ? kInvalidId : it->second;
 }
 }  // namespace
 
-SourceId DatasetBuilder::AddSource(const std::string& name) {
+SourceId DatasetBuilder::AddSource(std::string_view name) {
   dataset_.CheckMutable("AddSource");
   return InternName(&source_ids_, &dataset_.source_names_, name);
 }
 
-ObjectId DatasetBuilder::AddObject(const std::string& name) {
+ObjectId DatasetBuilder::AddObject(std::string_view name) {
   dataset_.CheckMutable("AddObject");
   return InternName(&object_ids_, &dataset_.object_names_, name);
 }
 
-AttributeId DatasetBuilder::AddAttribute(const std::string& name) {
+AttributeId DatasetBuilder::AddAttribute(std::string_view name) {
   dataset_.CheckMutable("AddAttribute");
   return InternName(&attribute_ids_, &dataset_.attribute_names_, name);
 }
 
-SourceId DatasetBuilder::FindSource(const std::string& name) const {
+SourceId DatasetBuilder::FindSource(std::string_view name) const {
   return LookupName(source_ids_, name);
 }
 
-ObjectId DatasetBuilder::FindObject(const std::string& name) const {
+ObjectId DatasetBuilder::FindObject(std::string_view name) const {
   return LookupName(object_ids_, name);
 }
 
-AttributeId DatasetBuilder::FindAttribute(const std::string& name) const {
+AttributeId DatasetBuilder::FindAttribute(std::string_view name) const {
   return LookupName(attribute_ids_, name);
 }
 
+void DatasetBuilder::ReserveClaims(size_t claims) {
+  dataset_.ReserveClaims(dataset_.num_claims() + claims);
+}
+
 Status DatasetBuilder::AddClaim(SourceId source, ObjectId object,
-                                AttributeId attribute, Value value) {
+                                AttributeId attribute, const ValueRef& value) {
   if (source < 0 || source >= dataset_.num_sources()) {
     return Status::InvalidArgument("bad source id");
   }
@@ -70,11 +77,12 @@ Status DatasetBuilder::AddClaim(SourceId source, ObjectId object,
   return Status::OK();
 }
 
-Status DatasetBuilder::AddClaim(const std::string& source,
-                                const std::string& object,
-                                const std::string& attribute, Value value) {
-  return AddClaim(AddSource(source), AddObject(object),
-                  AddAttribute(attribute), std::move(value));
+Status DatasetBuilder::AddClaim(std::string_view source,
+                                std::string_view object,
+                                std::string_view attribute,
+                                const ValueRef& value) {
+  return AddClaim(AddSource(source), AddObject(object), AddAttribute(attribute),
+                  value);
 }
 
 Result<Dataset> DatasetBuilder::Build() {

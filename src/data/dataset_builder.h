@@ -1,8 +1,10 @@
 #ifndef TDAC_DATA_DATASET_BUILDER_H_
 #define TDAC_DATA_DATASET_BUILDER_H_
 
+#include <functional>
 #include <memory_resource>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -20,15 +22,16 @@ class DatasetBuilder {
  public:
   DatasetBuilder() = default;
 
-  /// Returns the id of `name`, creating it on first use.
-  SourceId AddSource(const std::string& name);
-  ObjectId AddObject(const std::string& name);
-  AttributeId AddAttribute(const std::string& name);
+  /// Returns the id of `name`, creating it on first use. A known name is
+  /// found without copying it.
+  SourceId AddSource(std::string_view name);
+  ObjectId AddObject(std::string_view name);
+  AttributeId AddAttribute(std::string_view name);
 
   /// Looks up an existing name; kInvalidId when absent.
-  SourceId FindSource(const std::string& name) const;
-  ObjectId FindObject(const std::string& name) const;
-  AttributeId FindAttribute(const std::string& name) const;
+  SourceId FindSource(std::string_view name) const;
+  ObjectId FindObject(std::string_view name) const;
+  AttributeId FindAttribute(std::string_view name) const;
 
   /// Records a claim: its ids go straight into the store's columns and its
   /// value is interned into the dictionary, in append order. Fails with
@@ -36,12 +39,16 @@ class DatasetBuilder {
   /// and with InvalidArgument on bad ids.
   [[nodiscard]]
   Status AddClaim(SourceId source, ObjectId object, AttributeId attribute,
-                  Value value);
+                  const ValueRef& value);
 
   /// Name-based convenience overload (interns all three names).
   [[nodiscard]]
-  Status AddClaim(const std::string& source, const std::string& object,
-                  const std::string& attribute, Value value);
+  Status AddClaim(std::string_view source, std::string_view object,
+                  std::string_view attribute, const ValueRef& value);
+
+  /// Reserves the claim columns for `claims` more claims (a hint for
+  /// loaders that know the row count up front).
+  void ReserveClaims(size_t claims);
 
   size_t num_claims() const { return dataset_.num_claims(); }
 
@@ -51,10 +58,21 @@ class DatasetBuilder {
   [[nodiscard]] Result<Dataset> Build();
 
  private:
+  // Name -> id, probed by string_view (heterogeneous lookup), so a known
+  // name costs one hash and no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameIds =
+      std::unordered_map<std::string, int32_t, NameHash, std::equal_to<>>;
+
   Dataset dataset_;
-  std::unordered_map<std::string, SourceId> source_ids_;
-  std::unordered_map<std::string, ObjectId> object_ids_;
-  std::unordered_map<std::string, AttributeId> attribute_ids_;
+  NameIds source_ids_;
+  NameIds object_ids_;
+  NameIds attribute_ids_;
   // The duplicate check's per-claim nodes live in their own arena, released
   // whole by Build. From the shared heap they would interleave with the
   // value dictionary's long-lived nodes (interned claim by claim) and, once

@@ -105,7 +105,7 @@ Dataset DatasetView::Materialize() const {
   for (int32_t id : claim_ids_) {
     const auto i = static_cast<size_t>(id);
     out.AppendClaim(sources[i], objects[i], attributes[i],
-                    dict.ValueAt(value_ids[i]));
+                    dict.RefAt(value_ids[i]));
   }
   out.BuildIndexes();
   return out;

@@ -1,9 +1,11 @@
 #include "data/value.h"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <ostream>
 
 #include "common/logging.h"
@@ -77,36 +79,8 @@ Value Value::FromText(Kind kind, std::string_view text) {
 }
 
 Result<Value> Value::FromTextChecked(Kind kind, std::string_view text) {
-  switch (kind) {
-    case Kind::kString:
-      return Value(std::string(text));
-    case Kind::kInt: {
-      int64_t v = 0;
-      auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), v);
-      if (text.empty() || ec != std::errc() ||
-          ptr != text.data() + text.size()) {
-        return Status::InvalidArgument("not an integer: '" +
-                                       std::string(text) + "'");
-      }
-      return Value(v);
-    }
-    case Kind::kDouble: {
-      std::string tmp(text);
-      char* end = nullptr;
-      double v = std::strtod(tmp.c_str(), &end);
-      // strtod on an empty string "succeeds" with end == begin == the
-      // terminator, so the emptiness check is load-bearing.
-      if (tmp.empty() || end != tmp.c_str() + tmp.size()) {
-        return Status::InvalidArgument("not a number: '" + tmp + "'");
-      }
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument("non-finite number: '" + tmp + "'");
-      }
-      return Value(v);
-    }
-  }
-  return Status::InvalidArgument("unknown value kind");
+  TDAC_ASSIGN_OR_RETURN(ValueRef ref, ValueRef::Parse(kind, text));
+  return ref.ToValue();
 }
 
 bool Value::operator<(const Value& other) const {
@@ -162,6 +136,104 @@ uint64_t Value::Hash() const {
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();
+}
+
+ValueRef::ValueRef(const Value& v) : kind(v.kind()) {
+  switch (kind) {
+    case Value::Kind::kString:
+      str = v.AsString();
+      break;
+    case Value::Kind::kInt:
+      num = v.AsInt();
+      break;
+    case Value::Kind::kDouble:
+      num = static_cast<int64_t>(std::bit_cast<uint64_t>(v.AsDouble()));
+      break;
+  }
+}
+
+ValueRef ValueRef::String(std::string_view s) {
+  ValueRef ref;
+  ref.kind = Value::Kind::kString;
+  ref.str = s;
+  return ref;
+}
+
+ValueRef ValueRef::Int(int64_t i) {
+  ValueRef ref;
+  ref.kind = Value::Kind::kInt;
+  ref.num = i;
+  return ref;
+}
+
+ValueRef ValueRef::Double(double d) {
+  ValueRef ref;
+  ref.kind = Value::Kind::kDouble;
+  ref.num = static_cast<int64_t>(std::bit_cast<uint64_t>(d));
+  return ref;
+}
+
+double ValueRef::AsDouble() const {
+  TDAC_CHECK(kind == Value::Kind::kDouble) << "ValueRef is not a double";
+  return std::bit_cast<double>(static_cast<uint64_t>(num));
+}
+
+Value ValueRef::ToValue() const {
+  switch (kind) {
+    case Value::Kind::kString:
+      return Value(std::string(str));
+    case Value::Kind::kInt:
+      return Value(num);
+    case Value::Kind::kDouble:
+      return Value(AsDouble());
+  }
+  TDAC_CHECK(false) << "ValueRef::ToValue: unknown value kind";
+  return Value();
+}
+
+Result<ValueRef> ValueRef::Parse(Value::Kind kind, std::string_view text) {
+  switch (kind) {
+    case Value::Kind::kString:
+      return String(text);
+    case Value::Kind::kInt: {
+      int64_t v = 0;
+      auto [ptr, ec] =
+          std::from_chars(text.data(), text.data() + text.size(), v);
+      if (text.empty() || ec != std::errc() ||
+          ptr != text.data() + text.size()) {
+        return Status::InvalidArgument("not an integer: '" +
+                                       std::string(text) + "'");
+      }
+      return Int(v);
+    }
+    case Value::Kind::kDouble: {
+      // strtod needs a terminator; short numbers are copied to the stack.
+      char stack[64];
+      std::string heap;
+      const char* begin = stack;
+      if (text.size() < sizeof(stack)) {
+        std::memcpy(stack, text.data(), text.size());
+        stack[text.size()] = '\0';
+      } else {
+        heap.assign(text);
+        begin = heap.c_str();
+      }
+      char* end = nullptr;
+      const double v = std::strtod(begin, &end);
+      // strtod on an empty string "succeeds" with end == begin == the
+      // terminator, so the emptiness check is load-bearing.
+      if (text.empty() || end != begin + text.size()) {
+        return Status::InvalidArgument("not a number: '" + std::string(text) +
+                                       "'");
+      }
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite number: '" +
+                                       std::string(text) + "'");
+      }
+      return Double(v);
+    }
+  }
+  return Status::InvalidArgument("unknown value kind");
 }
 
 }  // namespace tdac

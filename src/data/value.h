@@ -80,6 +80,38 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 
+/// \brief A non-owning typed value: the kind plus its payload, with a
+/// string payload viewed rather than owned.
+///
+/// It is the value dictionary's storage form, and what the claim loader
+/// interns straight from its input buffer, so ingestion builds no `Value`
+/// (and no `std::string`) per claim. Like `std::string_view`, it converts
+/// implicitly from a `Value` and must not outlive it.
+struct ValueRef {
+  Value::Kind kind = Value::Kind::kString;
+  int64_t num = 0;       // the int payload, or the double's bits
+  std::string_view str;  // the string payload
+
+  ValueRef() = default;
+  ValueRef(const Value& v);  // NOLINT(google-explicit-constructor)
+
+  static ValueRef String(std::string_view s);
+  static ValueRef Int(int64_t i);
+  static ValueRef Double(double d);
+
+  /// The double payload; kDouble only.
+  double AsDouble() const;
+
+  /// An owning copy.
+  Value ToValue() const;
+
+  /// The strict parse behind Value::FromTextChecked: rejects trailing
+  /// garbage, empty numerics and non-finite doubles. A string payload
+  /// views `text`.
+  [[nodiscard]]
+  static Result<ValueRef> Parse(Value::Kind kind, std::string_view text);
+};
+
 /// Hash functor for unordered containers keyed by Value.
 struct ValueHash {
   size_t operator()(const Value& v) const {

@@ -40,49 +40,42 @@ std::string_view StringArena::Add(std::string_view s) {
   return std::string_view(dst, s.size());
 }
 
-ValueId ValueDict::Intern(const Value& v) {
+ValueId ValueDict::Intern(const ValueRef& v) {
   TDAC_CHECK(!frozen_) << "ValueDict::Intern on a frozen dictionary";
   const ValueId next = static_cast<ValueId>(entries_.size());
-  switch (v.kind()) {
+  switch (v.kind) {
     case Value::Kind::kString: {
-      const std::string& s = v.AsString();
-      auto it = string_ids_.find(std::string_view(s));
+      auto it = string_ids_.find(v.str);
       if (it != string_ids_.end()) return it->second;
-      Entry e;
-      e.kind = Value::Kind::kString;
-      e.str = arena_.Add(s);
-      entries_.push_back(e);
-      string_ids_.emplace(e.str, next);
+      const std::string_view stored = arena_.Add(v.str);
+      entries_.push_back(ValueRef::String(stored));
+      string_ids_.emplace(stored, next);
       return next;
     }
     case Value::Kind::kInt: {
-      auto [it, inserted] = int_ids_.emplace(v.AsInt(), next);
-      if (!inserted) return it->second;
-      Entry e;
-      e.kind = Value::Kind::kInt;
-      e.num = v.AsInt();
-      entries_.push_back(e);
+      // Look up before inserting: a hit must not build (and free) a node.
+      auto it = int_ids_.find(v.num);
+      if (it != int_ids_.end()) return it->second;
+      int_ids_.emplace(v.num, next);
+      entries_.push_back(v);
       return next;
     }
     case Value::Kind::kDouble: {
       const double d = v.AsDouble();
-      Entry e;
-      e.kind = Value::Kind::kDouble;
-      e.num = static_cast<int64_t>(std::bit_cast<uint64_t>(d));
       if (std::isnan(d)) {
         // NaN != NaN under Value::operator==, so a NaN payload must never
         // dedup: every occurrence is its own distinct value.
-        entries_.push_back(e);
+        entries_.push_back(v);
         return next;
       }
       // -0.0 == +0.0 under Value::operator==, so both spellings must map
       // to one id: merge the sign bit out of the lookup key (the entry
       // keeps the first-seen payload, which compares equal either way).
-      const double key = d == 0.0 ? 0.0 : d;
-      auto [it, inserted] = double_ids_.emplace(std::bit_cast<uint64_t>(key),
-                                                next);
-      if (!inserted) return it->second;
-      entries_.push_back(e);
+      const uint64_t key = std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
+      auto it = double_ids_.find(key);
+      if (it != double_ids_.end()) return it->second;
+      double_ids_.emplace(key, next);
+      entries_.push_back(v);
       return next;
     }
   }
@@ -90,14 +83,14 @@ ValueId ValueDict::Intern(const Value& v) {
   return kInvalidId;
 }
 
-ValueId ValueDict::Find(const Value& v) const {
-  switch (v.kind()) {
+ValueId ValueDict::Find(const ValueRef& v) const {
+  switch (v.kind) {
     case Value::Kind::kString: {
-      auto it = string_ids_.find(std::string_view(v.AsString()));
+      auto it = string_ids_.find(v.str);
       return it == string_ids_.end() ? kInvalidId : it->second;
     }
     case Value::Kind::kInt: {
-      auto it = int_ids_.find(v.AsInt());
+      auto it = int_ids_.find(v.num);
       return it == int_ids_.end() ? kInvalidId : it->second;
     }
     case Value::Kind::kDouble: {
@@ -111,29 +104,11 @@ ValueId ValueDict::Find(const Value& v) const {
   return kInvalidId;
 }
 
-Value ValueDict::ValueAt(ValueId id) const {
-  const Entry& e = entries_[static_cast<size_t>(id)];
-  switch (e.kind) {
-    case Value::Kind::kString:
-      return Value(std::string(e.str));
-    case Value::Kind::kInt:
-      return Value(e.num);
-    case Value::Kind::kDouble:
-      return Value(std::bit_cast<double>(static_cast<uint64_t>(e.num)));
-  }
-  TDAC_CHECK(false) << "ValueDict::ValueAt: unknown value kind";
-  return Value();
-}
-
 std::string_view ValueDict::StringAt(ValueId id) const {
-  const Entry& e = entries_[static_cast<size_t>(id)];
+  const ValueRef& e = entries_[static_cast<size_t>(id)];
   TDAC_CHECK(e.kind == Value::Kind::kString)
       << "ValueDict::StringAt on a non-string id";
   return e.str;
-}
-
-double ValueDict::DoubleAt(size_t index) const {
-  return std::bit_cast<double>(static_cast<uint64_t>(entries_[index].num));
 }
 
 void ValueDict::Freeze() {
@@ -144,8 +119,8 @@ void ValueDict::Freeze() {
   // after every number), with id as the final tie-break so the order is
   // total even across distinct NaN entries.
   std::sort(by_rank_.begin(), by_rank_.end(), [this](ValueId a, ValueId b) {
-    const Entry& ea = entries_[static_cast<size_t>(a)];
-    const Entry& eb = entries_[static_cast<size_t>(b)];
+    const ValueRef& ea = entries_[static_cast<size_t>(a)];
+    const ValueRef& eb = entries_[static_cast<size_t>(b)];
     if (ea.kind != eb.kind) {
       return static_cast<int>(ea.kind) < static_cast<int>(eb.kind);
     }
@@ -157,8 +132,8 @@ void ValueDict::Freeze() {
         if (ea.num != eb.num) return ea.num < eb.num;
         break;
       case Value::Kind::kDouble: {
-        const double da = DoubleAt(static_cast<size_t>(a));
-        const double db = DoubleAt(static_cast<size_t>(b));
+        const double da = ea.AsDouble();
+        const double db = eb.AsDouble();
         const bool a_nan = std::isnan(da);
         const bool b_nan = std::isnan(db);
         if (a_nan || b_nan) {

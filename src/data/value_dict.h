@@ -77,13 +77,14 @@ class ValueDict {
  public:
   ValueDict() = default;
 
-  /// Returns the id of `v`, interning it on first appearance. Must not be
-  /// called on a frozen dictionary.
-  ValueId Intern(const Value& v);
+  /// Returns the id of `v`, interning it on first appearance: only then is
+  /// a string payload copied into the arena, so a hit allocates nothing.
+  /// Must not be called on a frozen dictionary.
+  ValueId Intern(const ValueRef& v);
 
   /// Id of `v` if some interned value compares == to it; kInvalidId
   /// otherwise (in particular, always kInvalidId for NaN payloads).
-  ValueId Find(const Value& v) const;
+  ValueId Find(const ValueRef& v) const;
 
   int32_t size() const { return static_cast<int32_t>(entries_.size()); }
 
@@ -92,7 +93,12 @@ class ValueDict {
   }
 
   /// Materializes the value stored under `id`.
-  Value ValueAt(ValueId id) const;
+  Value ValueAt(ValueId id) const { return RefAt(id).ToValue(); }
+
+  /// The value stored under `id`, viewing the arena (no copy).
+  const ValueRef& RefAt(ValueId id) const {
+    return entries_[static_cast<size_t>(id)];
+  }
 
   /// Arena-backed view of a kString entry's payload (no copy). Aborts on
   /// kind mismatch.
@@ -116,14 +122,6 @@ class ValueDict {
   const std::vector<int32_t>& ranks() const { return ranks_; }
 
  private:
-  // One distinct value: the payload is either the arena view (kString) or
-  // `num` (the int payload, or the double's bits for kDouble).
-  struct Entry {
-    Value::Kind kind = Value::Kind::kString;
-    int64_t num = 0;
-    std::string_view str;
-  };
-
   struct StringViewHash {
     size_t operator()(std::string_view s) const {
       // FNV-1a; embedded NULs are significant.
@@ -136,9 +134,8 @@ class ValueDict {
     }
   };
 
-  double DoubleAt(size_t index) const;
-
-  std::vector<Entry> entries_;
+  // One distinct value each; a kString entry views the arena.
+  std::vector<ValueRef> entries_;
   StringArena arena_;
   // Lookup side tables (never iterated — determinism comes from the
   // entries_ append order and the sorted rank permutation).

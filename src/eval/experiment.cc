@@ -8,12 +8,18 @@ Result<ExperimentRow> RunExperiment(const TruthDiscovery& algorithm,
                                     const Dataset& data,
                                     const GroundTruth& gold,
                                     const RunGuard& guard) {
-  ExperimentRow row;
-  row.algorithm = std::string(algorithm.name());
   WallTimer timer;
   TDAC_ASSIGN_OR_RETURN(TruthDiscoveryResult result,
                         algorithm.Discover(data, guard));
-  row.seconds = timer.ElapsedSeconds();
+  return EvaluateRun(algorithm, data, result, gold, timer.ElapsedSeconds());
+}
+
+ExperimentRow EvaluateRun(const TruthDiscovery& algorithm, const Dataset& data,
+                          const TruthDiscoveryResult& result,
+                          const GroundTruth& gold, double seconds) {
+  ExperimentRow row;
+  row.algorithm = std::string(algorithm.name());
+  row.seconds = seconds;
   row.iterations = result.iterations;
   row.stop_reason = result.stop_reason;
   row.metrics = Evaluate(data, result.predicted, gold);

@@ -39,6 +39,12 @@ Result<ExperimentRow> RunExperiment(const TruthDiscovery& algorithm,
                                     const GroundTruth& gold,
                                     const RunGuard& guard = RunGuard::None());
 
+/// The row for a finished run: `result` of `algorithm` evaluated against
+/// `gold`, with the Discover call's wall time.
+ExperimentRow EvaluateRun(const TruthDiscovery& algorithm, const Dataset& data,
+                          const TruthDiscoveryResult& result,
+                          const GroundTruth& gold, double seconds);
+
 /// Runs several algorithms on the same dataset; any individual failure
 /// fails the batch.
 [[nodiscard]] Result<std::vector<ExperimentRow>> RunExperiments(

@@ -207,6 +207,14 @@ std::shared_ptr<ServeEngine::DatasetEntry> ServeEngine::DatasetFor(
     entry->bytes.store(ApproxDatasetBytes(*entry->dataset),
                        std::memory_order_relaxed);
   });
+  if (!entry->status.ok()) {
+    // Keep no failure: the requests that shared this load all see its
+    // error, and the next request for the path loads it afresh (the file
+    // may exist by then).
+    std::lock_guard<std::mutex> lock(datasets_mutex_);
+    auto it = datasets_.find(path);
+    if (it != datasets_.end() && it->second == entry) datasets_.erase(it);
+  }
   return entry;
 }
 
