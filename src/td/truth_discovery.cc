@@ -173,18 +173,18 @@ std::vector<ItemConflict> GroupClaimsByItemSoa(const DatasetLike& data) {
     item.values.reserve(groups);
     item.value_ids.reserve(groups);
     item.supporters.reserve(groups);
-    int64_t prev_rank = -1;
-    for (uint64_t p : packed) {
-      const auto rank = static_cast<int32_t>(p >> 32);
-      if (rank != prev_rank) {
-        const ValueId id = dict.id_at_rank(rank);
-        item.values.push_back(dict.ValueAt(id));
-        item.value_ids.push_back(id);
-        item.supporters.emplace_back();
-        prev_rank = rank;
+    for (size_t begin = 0; begin < packed.size();) {
+      const uint64_t hi = packed[begin] >> 32;
+      size_t end = begin + 1;
+      while (end < packed.size() && packed[end] >> 32 == hi) ++end;
+      const ValueId id = dict.id_at_rank(static_cast<int32_t>(hi));
+      item.values.push_back(dict.ValueAt(id));
+      item.value_ids.push_back(id);
+      std::vector<SourceId>& group = item.supporters.emplace_back();
+      group.reserve(end - begin);
+      for (; begin < end; ++begin) {
+        group.push_back(static_cast<SourceId>(packed[begin] & 0xffffffffULL));
       }
-      item.supporters.back().push_back(
-          static_cast<SourceId>(p & 0xffffffffULL));
     }
     out.push_back(std::move(item));
   }
