@@ -1,6 +1,7 @@
 #include "common/csv.h"
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -122,6 +123,38 @@ TEST(CsvFileTest, MissingFileFails) {
   auto r = ReadCsvFile("/nonexistent/definitely/not/here.csv");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+TEST(CsvFileTest, DirectoryFailsWithIoError) {
+  auto text = ReadFileToString(testing::TempDir());
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status().code(), StatusCode::kIoError);
+  EXPECT_FALSE(ReadCsvFile(testing::TempDir()).ok());
+}
+
+TEST(CsvFileTest, ReadsFilesWhoseSizeIsNotKnownUpFront) {
+  // A character device reports no size and reads empty.
+  auto null_text = ReadFileToString("/dev/null");
+  ASSERT_TRUE(null_text.ok()) << null_text.status();
+  EXPECT_EQ(*null_text, "");
+  // procfs files report size 0 but have content: the buffer has to grow.
+  if (!std::ifstream("/proc/self/status")) GTEST_SKIP() << "no procfs";
+  auto status_text = ReadFileToString("/proc/self/status");
+  ASSERT_TRUE(status_text.ok()) << status_text.status();
+  EXPECT_NE(status_text->find("Pid:"), std::string::npos);
+}
+
+TEST(CsvFileTest, LargeFileReadsBackExactly) {
+  const std::string path = testing::TempDir() + "/tdac_csv_test_large.csv";
+  std::string contents;
+  for (int i = 0; contents.size() < (size_t{3} << 16); ++i) {
+    contents += std::to_string(i) + ",x\n";
+  }
+  ASSERT_TRUE(WriteFile(path, contents).ok());
+  auto text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_EQ(*text, contents);
+  std::remove(path.c_str());
 }
 
 TEST(CsvLineTrackingTest, RowsRecordTheirStartingLine) {
