@@ -355,9 +355,12 @@ TEST_F(ServeChaosTest, SeededKillsLoseNoRequestsAndDoubleExecuteNothing) {
     // retry with a fresh attempt id until some attempt lands. Journaled
     // work is never resent under its original id, so the per-id delivery
     // assertions below stay exact.
+    // Look up without inserting: an attempt that never lands (lost before
+    // its admit record) must not enter the map as an empty response set,
+    // or the per-id checks below would read a response it never got.
     auto chain_answered = [&](const std::vector<std::string>& chain) {
       for (const std::string& id : chain) {
-        if (!ok_responses_by_id[id].empty()) return true;
+        if (ok_responses_by_id.count(id) != 0) return true;
       }
       return false;
     };
